@@ -42,12 +42,12 @@ void run(bench::ScenarioContext& ctx) {
     ctx.rec.add_table("D5: intersection method", t);
   }
 
-  // D6: double buffering.
+  // D6: double buffering (pipeline depth 2) against no overlap (depth 1).
   {
     util::Table t({"Pipeline", "makespan (s)"});
     core::EngineConfig on, off;
-    on.double_buffer = true;
-    off.double_buffer = false;
+    on.pipeline_depth = 2;
+    off.pipeline_depth = 1;
     const double t_on =
         ctx.run_lcc_trials("makespan/overlap/on", {}, g, ranks, on)
             .run.makespan;

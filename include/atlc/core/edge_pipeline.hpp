@@ -8,7 +8,7 @@
 // analytics: it walks the rank's flattened edge stream, keeps up to k-1
 // adjacency transfers in flight over a ring of k fetch buffers
 // (EngineConfig::pipeline_depth), and hands each edge to an arbitrary
-// kernel. LCC, global TC, Jaccard and the similarity measures are thin
+// kernel. LCC, global TC and the per-edge similarity measures are thin
 // kernels over this engine; `run_edge_analytic` deduplicates the
 // partition/SPMD-launch/stats-aggregation boilerplate around it.
 // DESIGN.md §6 documents the kernel concept, the ring lifetime rules, and
@@ -69,8 +69,9 @@ struct PipelineRankStats {
 
 /// Statistics every edge analytic reports identically: the SPMD run record
 /// plus pipeline/cache counters aggregated over all ranks. Analytic results
-/// (RunResult, JaccardResult, SimilarityResult) derive from this, so a
-/// stats field present for one analytic is present — and filled — for all.
+/// (RunResult, SimilarityResult, stream::StreamResult, QueryStats) derive
+/// from this, so a stats field present for one analytic is present — and
+/// filled — for all.
 struct EdgeAnalyticStats {
   rma::Runtime::Result run;  ///< per-rank comm stats + virtual clocks
   clampi::CacheStats offsets_cache_total;
@@ -111,7 +112,7 @@ struct EdgeAnalyticStats {
 /// Depth-k prefetch ring over one rank's flattened edge stream.
 ///
 /// run() visits every local edge e_0..e_{m-1} in order. With effective
-/// depth k (EngineConfig::effective_pipeline_depth), the adjacency fetch
+/// depth k (EngineConfig::pipeline_depth), the adjacency fetch
 /// for edge e_{i+k-1} is issued before the kernel runs on e_i, so up to
 /// k-1 transfers ride under each intersection in virtual time. k=2
 /// reproduces the paper's double buffering exactly (same begin/finish/
@@ -124,7 +125,7 @@ class EdgePipeline {
       : dg_(&dg),
         config_(&config),
         rank_(ctx.rank()),
-        depth_(config.effective_pipeline_depth()),
+        depth_(config.pipeline_depth),
         fetcher_(ctx, dg, config) {}
 
   [[nodiscard]] std::size_t depth() const { return depth_; }

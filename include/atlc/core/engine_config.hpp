@@ -1,13 +1,11 @@
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 
 #include "atlc/clampi/config.hpp"
 #include "atlc/graph/types.hpp"
 #include "atlc/intersect/cost_model.hpp"
-#include "atlc/intersect/parallel.hpp"
 
 namespace atlc::obs {
 class TraceCollector;
@@ -36,8 +34,8 @@ struct CacheSizing {
 };
 
 /// Configuration of the distributed edge-analytic engine (paper Algorithm 3
-/// generalised by core::EdgePipeline): every analytic — LCC, TC, Jaccard,
-/// the similarity measures — runs on the same configuration surface.
+/// generalised by core::EdgePipeline): every analytic — LCC, TC and the
+/// per-edge similarity measures — runs on the same configuration surface.
 struct EngineConfig {
   intersect::Method method = intersect::Method::Hybrid;
 
@@ -78,17 +76,13 @@ struct EngineConfig {
   clampi::VictimPolicy victim_policy = clampi::VictimPolicy::LruPositional;
   bool cache_adaptive = false;
 
-  /// Overlap adjacency transfers with intersections (paper Section III-A).
-  /// `false` forces a depth-1 (fully synchronous) pipeline regardless of
-  /// `pipeline_depth`; kept as a switch so ablations and `--no-overlap`
-  /// toggle overlap without remembering the configured depth.
-  bool double_buffer = true;
-
   /// Prefetch-pipeline depth k of the edge stream: the engine keeps up to
   /// k-1 adjacency transfers in flight under the current intersection, over
-  /// a ring of k fetch buffers. k=2 is the paper's double buffering; k=1
-  /// is no overlap; larger k hides more latency until the initiator's NIC
-  /// serialisation saturates (DESIGN.md §2, `pipeline_depth` scenario).
+  /// a ring of k fetch buffers. k=2 is the paper's double buffering
+  /// (Section III-A); k=1 is no overlap; larger k hides more latency until
+  /// the initiator's NIC serialisation saturates (DESIGN.md §2,
+  /// `pipeline_depth` scenario). Must be >= 1 (the fetcher rejects 0 when
+  /// it sizes its ring).
   ///
   /// Interaction with the cache (`use_cache`): each begin() probes the
   /// CLaMPI windows, so a depth-k run holds up to k-1 *cache-resolved*
@@ -99,11 +93,6 @@ struct EngineConfig {
   /// window also bounds span lifetime: a finish()ed span dies after the
   /// next k-1 remote begins, cached or not (see fetcher.hpp).
   std::size_t pipeline_depth = 2;
-
-  /// Depth actually used by the engine: `double_buffer=false` maps to 1.
-  [[nodiscard]] std::size_t effective_pipeline_depth() const {
-    return double_buffer ? std::max<std::size_t>(1, pipeline_depth) : 1;
-  }
 
   /// Fraction δ of the highest-degree vertices whose adjacency rows are
   /// replicated on every rank at graph-build time (graph::HubReplica,
@@ -120,11 +109,6 @@ struct EngineConfig {
   /// paper Section II-C). Halves work for global TC; per-vertex LCC needs
   /// the full count, so LCC runs keep this false.
   bool upper_triangle_only = false;
-
-  /// OpenMP-parallel intersection (paper Section III-C). Off by default in
-  /// distributed runs: ranks are already threads in this simulation.
-  bool parallel_intersect = false;
-  intersect::ParallelConfig parallel{};
 
   /// Out-of-core graph build: when non-null, run_edge_analytic passes this
   /// to build_dist_graph and each rank's local CSR slice is seek-read from

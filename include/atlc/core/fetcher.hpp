@@ -34,7 +34,7 @@ namespace atlc::core {
 ///
 /// ## Buffer-ring lifetime contract
 ///
-/// Remote fetches land in a ring of `EngineConfig::effective_pipeline_depth`
+/// Remote fetches land in a ring of `EngineConfig::pipeline_depth`
 /// buffers (doubled under a 2D partition, where each pipeline item issues
 /// up to two segment fetches), so at most `ring_size()` fetches may be live
 /// — in flight or with their finish()ed span still being read — at once. The span returned by

@@ -11,28 +11,17 @@
 
 namespace atlc::core {
 
-/// Per-rank outcome of the compute phase.
+/// Per-rank outcome of the compute phase (local vertices only; the
+/// pipeline counters are harvested by the caller that owns the pipeline).
 struct RankResult {
   std::vector<std::uint64_t> triangles;  ///< edge-centric t(v), local vertices
   std::vector<double> lcc;               ///< LCC scores, local vertices
-  std::uint64_t edges_processed = 0;
-  std::uint64_t remote_edges = 0;  ///< edges whose neighbor list was remote
-  clampi::CacheStats offsets_cache;  ///< zeroed when caching is off
-  clampi::CacheStats adj_cache;
-  std::vector<std::uint64_t> remote_reads;  ///< per global vertex, optional
-  std::vector<clampi::EntryInfo> adj_cache_entries;  ///< optional snapshot
 };
 
 /// Paper Algorithm 3 body for one rank, as an EdgePipeline kernel: count
 /// triangles for every locally owned vertex, reading remote adjacency lists
-/// through the two-get RMA protocol (optionally cached), and derive LCC
-/// scores. The 3-argument overload builds its own pipeline and fills the
-/// RankResult stats block; the 4-argument overload drives a caller-provided
-/// pipeline and fills only the per-vertex outputs — its caller (the
-/// run_edge_analytic driver) harvests the pipeline counters itself.
-[[nodiscard]] RankResult compute_lcc_rank(rma::RankCtx& ctx,
-                                          const DistGraph& dg,
-                                          const EngineConfig& config);
+/// through the two-get RMA protocol (optionally cached) over the caller's
+/// pipeline, and derive LCC scores.
 [[nodiscard]] RankResult compute_lcc_rank(rma::RankCtx& ctx,
                                           const DistGraph& dg,
                                           const EngineConfig& config,

@@ -6,24 +6,38 @@
 
 namespace atlc::core {
 
-/// Per-edge neighborhood-similarity analytics beyond Jaccard, added as
-/// proof that core::EdgePipeline makes a new distributed analytic a small
-/// kernel instead of a copied fetch/intersect loop. Both follow the
-/// Jaccard reporting convention: `score[k]` belongs to the k-th entry of
-/// the graph's adjacencies array (the edge u->v where u owns slot k), and
-/// the inherited EdgeAnalyticStats block is aggregated by run_edge_analytic
-/// identically to every other analytic.
+/// Per-edge neighborhood-similarity analytics — the paper's future-work
+/// direction (Section VI (ii): "investigating other graph problems that may
+/// benefit from the proposed approach", citing the communication-efficient
+/// Jaccard work [12]). The access pattern is identical to LCC — for each
+/// local edge (u, v), read adj(v) (possibly remote) and intersect with
+/// adj(u) — so each measure is a small kernel over core::EdgePipeline.
+///
+/// Results are reported per adjacency slot: `score[k]` belongs to the k-th
+/// entry of the graph's adjacencies array (the edge u->v where u owns slot
+/// k). Link-prediction applications rank candidate edges by it. The
+/// inherited EdgeAnalyticStats block is aggregated by run_edge_analytic
+/// identically to every other analytic. All measures run on the same
+/// EngineConfig as LCC (method, caching, pipeline depth and 1D partitioning
+/// all apply; `upper_triangle_only` must stay false).
 struct SimilarityResult : EdgeAnalyticStats {
   std::vector<double> score;  ///< one per adjacency slot
 };
+
+/// Jaccard similarity per edge:
+///
+///   J(u, v) = |adj(u) ∩ adj(v)| / |adj(u) ∪ adj(v)|
+[[nodiscard]] SimilarityResult run_distributed_jaccard(
+    const CSRGraph& g, std::uint32_t ranks, const EngineConfig& config = {},
+    const rma::NetworkModel& net = {},
+    graph::PartitionKind partition = graph::PartitionKind::Block1D);
 
 /// Overlap (Szymkiewicz–Simpson) coefficient per edge:
 ///
 ///   O(u, v) = |adj(u) ∩ adj(v)| / min(|adj(u)|, |adj(v)|)
 ///
 /// The normalisation by the smaller neighborhood makes hub-leaf edges
-/// comparable to hub-hub edges, which plain Jaccard suppresses. Runs on the
-/// unchanged LCC access pattern (fetch adj(v), count the intersection).
+/// comparable to hub-hub edges, which plain Jaccard suppresses.
 [[nodiscard]] SimilarityResult run_distributed_overlap(
     const CSRGraph& g, std::uint32_t ranks, const EngineConfig& config = {},
     const rma::NetworkModel& net = {},
@@ -50,6 +64,7 @@ struct SimilarityResult : EdgeAnalyticStats {
 /// Single-node references for validation (same slot layout and, for
 /// Adamic–Adar, the same ascending summation order, so distributed results
 /// match bit-for-bit).
+[[nodiscard]] std::vector<double> reference_jaccard(const CSRGraph& g);
 [[nodiscard]] std::vector<double> reference_overlap(const CSRGraph& g);
 [[nodiscard]] std::vector<double> reference_adamic_adar(const CSRGraph& g);
 

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <span>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -251,5 +253,10 @@ class Partition {
 /// Human-readable kind name ("block1d" / "cyclic1d" / "degree1d" /
 /// "grid2d"), the spelling the CLI and the bench JSON use.
 [[nodiscard]] const char* partition_kind_name(PartitionKind kind);
+
+/// Inverse of partition_kind_name, also accepting the CLI aliases "block"
+/// and "cyclic". nullopt for any other name.
+[[nodiscard]] std::optional<PartitionKind> parse_partition_kind(
+    std::string_view name);
 
 }  // namespace atlc::graph

@@ -12,8 +12,7 @@
 #include <span>
 #include <vector>
 
-#include "atlc/clampi/config.hpp"
-#include "atlc/core/engine_config.hpp"
+#include "atlc/core/edge_pipeline.hpp"
 #include "atlc/graph/csr.hpp"
 #include "atlc/graph/partition.hpp"
 #include "atlc/rma/network_model.hpp"
@@ -55,18 +54,15 @@ struct BatchOutcome {
 };
 
 /// Final state plus the whole-run record. Per-vertex arrays use the same
-/// conventions as core::RunResult (edge-centric t(v); LCC per Eq. 2).
-struct StreamResult {
+/// conventions as core::RunResult (edge-centric t(v); LCC per Eq. 2). The
+/// inherited stats block covers every phase (cold count and all batches)
+/// and is aggregated exactly as for the static analytics.
+struct StreamResult : core::EdgeAnalyticStats {
   std::vector<std::uint64_t> triangles;
   std::vector<double> lcc;
   std::uint64_t global_triangles = 0;
   double initial_makespan = 0.0;  ///< virtual time of the cold full count
   double stream_makespan = 0.0;   ///< virtual time across all batches
-  rma::Runtime::Result run;
-  clampi::CacheStats offsets_cache_total;  ///< zeroed when caching is off
-  clampi::CacheStats adj_cache_total;
-  std::uint64_t edges_processed = 0;  ///< kernel invocations, all phases
-  std::uint64_t remote_edges = 0;
   std::vector<BatchOutcome> batches;
 };
 

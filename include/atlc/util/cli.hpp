@@ -46,7 +46,7 @@ class Cli {
   };
 
   const Entry& find(std::string_view name, Kind kind) const;
-  bool set(const std::string& name, const std::string& value);
+  bool set(const std::string& name, std::string_view value);
 
   std::string program_;
   std::string description_;

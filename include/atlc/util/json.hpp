@@ -105,4 +105,8 @@ class Json {
 /// Escape `s` as the *contents* of a JSON string literal (no quotes added).
 [[nodiscard]] std::string json_escape(std::string_view s);
 
+/// Write `doc` pretty-printed (plus a trailing newline) to `path`. False on
+/// any I/O failure, including a failed close.
+[[nodiscard]] bool write_json_file(const std::string& path, const Json& doc);
+
 }  // namespace atlc::util

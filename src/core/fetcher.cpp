@@ -71,7 +71,10 @@ namespace {
 // is a plain span); two on 2D partitions, where both segment sides of an
 // (edge, block) item may be remote.
 std::size_t ring_slots(const EngineConfig& config, const DistGraph& dg) {
-  return config.effective_pipeline_depth() *
+  ATLC_CHECK(config.pipeline_depth >= 1,
+             "EngineConfig::pipeline_depth must be >= 1 (1 = no overlap, "
+             "2 = the paper's double buffering)");
+  return config.pipeline_depth *
          (dg.partition.col_blocks() > 1 ? 2 : 1);
 }
 

@@ -53,10 +53,7 @@ auto lcc_kernel(rma::RankCtx& ctx, const EngineConfig& config,
                              {"size", lhs.size() + rhs.size()});
       ctx.charge_compute(out.seconds);
     } else {
-      common = config.parallel_intersect
-                   ? intersect::count_common_parallel(lhs, rhs, config.method,
-                                                      config.parallel)
-                   : intersect::count_common(lhs, rhs, config.method);
+      common = intersect::count_common(lhs, rhs, config.method);
       if (ctx.tracer().enabled())
         ctx.tracer().instant("intersect", {"size", lhs.size() + rhs.size()});
       ctx.charge_compute(config.cost.seconds(config.method, lhs.size(),
@@ -95,10 +92,7 @@ auto lcc_segment_kernel(rma::RankCtx& ctx, const EngineConfig& config,
                              {"size", lhs.size() + rhs.size()});
       ctx.charge_compute(out.seconds);
     } else {
-      common = config.parallel_intersect
-                   ? intersect::count_common_parallel(lhs, rhs, config.method,
-                                                      config.parallel)
-                   : intersect::count_common(lhs, rhs, config.method);
+      common = intersect::count_common(lhs, rhs, config.method);
       if (ctx.tracer().enabled())
         ctx.tracer().instant("intersect", {"size", lhs.size() + rhs.size()});
       ctx.charge_compute(config.cost.seconds(config.method, lhs.size(),
@@ -132,21 +126,6 @@ RankResult compute_lcc_rank(rma::RankCtx& ctx, const DistGraph& dg,
 
   for (VertexId v = 0; v < n_local; ++v)
     r.lcc[v] = graph::lcc_score(r.triangles[v], dg.local_degree(v));
-  return r;
-}
-
-RankResult compute_lcc_rank(rma::RankCtx& ctx, const DistGraph& dg,
-                            const EngineConfig& config) {
-  EdgePipeline pipeline(ctx, dg, config);
-  RankResult r = compute_lcc_rank(ctx, dg, config, pipeline);
-
-  PipelineRankStats ps = pipeline.harvest();
-  r.edges_processed = ps.edges_processed;
-  r.remote_edges = ps.remote_edges;
-  r.offsets_cache = ps.offsets_cache;
-  r.adj_cache = ps.adj_cache;
-  r.remote_reads = std::move(ps.remote_reads);
-  r.adj_cache_entries = std::move(ps.adj_cache_entries);
   return r;
 }
 

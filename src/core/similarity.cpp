@@ -1,15 +1,25 @@
 #include "atlc/core/similarity.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <span>
-#include <utility>
 
 #include "atlc/intersect/intersect.hpp"
-#include "edge_scores.hpp"
+#include "atlc/util/check.hpp"
 
 namespace atlc::core {
 
 namespace {
+
+/// Score of an edge from its common-neighbor count and the two degrees.
+using CountScore = double (*)(std::uint64_t common, std::size_t deg_u,
+                              std::size_t deg_v);
+
+double jaccard_from_counts(std::uint64_t common, std::size_t deg_u,
+                           std::size_t deg_v) {
+  const std::uint64_t uni = deg_u + deg_v - common;
+  return uni == 0 ? 0.0 : static_cast<double>(common) / static_cast<double>(uni);
+}
 
 double overlap_from_counts(std::uint64_t common, std::size_t deg_u,
                            std::size_t deg_v) {
@@ -49,40 +59,103 @@ std::vector<VertexId> replicate_degrees(rma::RankCtx& ctx,
   return degree;
 }
 
-/// detail::run_edge_scores with the SimilarityResult wrapper (setup runs
-/// once per rank before the pipeline: Adamic–Adar replicates degrees
-/// there; overlap is a no-op).
+/// The one driver of every per-edge score analytic, over run_edge_analytic:
+/// it owns the edge-slot mapping and the score-vector layout, so the slot
+/// arithmetic exists in exactly one place. `setup(ctx, dg)` runs once per
+/// rank before the pipeline and its result is handed to every kernel call;
+/// `score_edge(ctx, state, adj_v, adj_j)` returns the score of one edge.
 template <typename Setup, typename ScoreEdge>
-SimilarityResult run_similarity(const CSRGraph& g, std::uint32_t ranks,
-                                const EngineConfig& config,
-                                const rma::NetworkModel& net,
-                                graph::PartitionKind partition_kind,
-                                Setup&& setup, ScoreEdge&& score_edge) {
+SimilarityResult run_edge_scores(const CSRGraph& g, std::uint32_t ranks,
+                                 const EngineConfig& config,
+                                 const rma::NetworkModel& net,
+                                 graph::PartitionKind partition_kind,
+                                 Setup&& setup, ScoreEdge&& score_edge) {
+  ATLC_CHECK(!config.upper_triangle_only,
+             "per-edge scores need full intersections per edge");
+  ATLC_CHECK(partition_kind != graph::PartitionKind::Grid2D,
+             "per-edge score analytics are 1D-only: their kernels need the "
+             "whole adjacency row per edge (denominators use full degrees), "
+             "not the per-block segments Grid2D streams");
   SimilarityResult out;
-  static_cast<EdgeAnalyticStats&>(out) = detail::run_edge_scores(
-      g, ranks, config, net, partition_kind, out.score,
-      std::forward<Setup>(setup), std::forward<ScoreEdge>(score_edge));
+  out.score.assign(g.num_edges(), 0.0);
+
+  static_cast<EdgeAnalyticStats&>(out) = run_edge_analytic(
+      g, ranks, config, net, partition_kind,
+      [&](rma::RankCtx& ctx, const DistGraph& dg, EdgePipeline& pipeline) {
+        auto state = setup(ctx, dg);
+        // Global slot of each local edge: adjacency slots are laid out per
+        // owning vertex, so local slot ei of local vertex lv maps to
+        // offsets(global v) + (ei - local offsets(lv)).
+        EdgeIndex ei = 0;
+        pipeline.run([&](VertexId lv, VertexId, std::span<const VertexId> adj_v,
+                         std::span<const VertexId> adj_j) {
+          const VertexId v_global = dg.partition.global_id(ctx.rank(), lv);
+          const EdgeIndex global_slot =
+              g.offsets()[v_global] + (ei - dg.offsets[lv]);
+          out.score[global_slot] = score_edge(ctx, state, adj_v, adj_j);
+          ++ei;
+        });
+      });
+  return out;
+}
+
+/// run_edge_scores for the count-normalised measures (Jaccard, overlap):
+/// no per-rank setup; each edge counts |adj(u) ∩ adj(v)| with the
+/// configured method, charges its modelled cost, and normalises by the
+/// two degrees.
+SimilarityResult run_count_scores(const CSRGraph& g, std::uint32_t ranks,
+                                  const EngineConfig& config,
+                                  const rma::NetworkModel& net,
+                                  graph::PartitionKind partition,
+                                  CountScore normalise) {
+  return run_edge_scores(
+      g, ranks, config, net, partition,
+      [](rma::RankCtx&, const DistGraph&) { return 0; },
+      [&config, normalise](rma::RankCtx& ctx, int,
+                           std::span<const VertexId> adj_v,
+                           std::span<const VertexId> adj_j) {
+        const std::uint64_t common =
+            intersect::count_common(adj_v, adj_j, config.method);
+        ctx.charge_compute(
+            config.cost.seconds(config.method, adj_v.size(), adj_j.size()));
+        return normalise(common, adj_v.size(), adj_j.size());
+      });
+}
+
+/// Single-node reference of a count-normalised measure.
+std::vector<double> reference_count_scores(const CSRGraph& g,
+                                           CountScore normalise) {
+  std::vector<double> out(g.num_edges(), 0.0);
+  std::size_t k = 0;
+  for (VertexId u = 0; u < g.num_vertices(); ++u) {
+    const auto adj_u = g.neighbors(u);
+    for (VertexId v : adj_u) {
+      const auto adj_v = g.neighbors(v);
+      out[k++] = normalise(intersect::count_hybrid(adj_u, adj_v),
+                           adj_u.size(), adj_v.size());
+    }
+  }
   return out;
 }
 
 }  // namespace
+
+SimilarityResult run_distributed_jaccard(const CSRGraph& g,
+                                         std::uint32_t ranks,
+                                         const EngineConfig& config,
+                                         const rma::NetworkModel& net,
+                                         graph::PartitionKind partition) {
+  return run_count_scores(g, ranks, config, net, partition,
+                          jaccard_from_counts);
+}
 
 SimilarityResult run_distributed_overlap(const CSRGraph& g,
                                          std::uint32_t ranks,
                                          const EngineConfig& config,
                                          const rma::NetworkModel& net,
                                          graph::PartitionKind partition) {
-  return run_similarity(
-      g, ranks, config, net, partition,
-      [](rma::RankCtx&, const DistGraph&) { return 0; },
-      [&config](rma::RankCtx& ctx, int, std::span<const VertexId> adj_v,
-                std::span<const VertexId> adj_j) {
-        const std::uint64_t common =
-            intersect::count_common(adj_v, adj_j, config.method);
-        ctx.charge_compute(
-            config.cost.seconds(config.method, adj_v.size(), adj_j.size()));
-        return overlap_from_counts(common, adj_v.size(), adj_j.size());
-      });
+  return run_count_scores(g, ranks, config, net, partition,
+                          overlap_from_counts);
 }
 
 SimilarityResult run_distributed_adamic_adar(const CSRGraph& g,
@@ -90,7 +163,7 @@ SimilarityResult run_distributed_adamic_adar(const CSRGraph& g,
                                              const EngineConfig& config,
                                              const rma::NetworkModel& net,
                                              graph::PartitionKind partition) {
-  return run_similarity(
+  return run_edge_scores(
       g, ranks, config, net, partition,
       [](rma::RankCtx& ctx, const DistGraph& dg) {
         return replicate_degrees(ctx, dg);
@@ -110,18 +183,12 @@ SimilarityResult run_distributed_adamic_adar(const CSRGraph& g,
       });
 }
 
+std::vector<double> reference_jaccard(const CSRGraph& g) {
+  return reference_count_scores(g, jaccard_from_counts);
+}
+
 std::vector<double> reference_overlap(const CSRGraph& g) {
-  std::vector<double> out(g.num_edges(), 0.0);
-  std::size_t k = 0;
-  for (VertexId u = 0; u < g.num_vertices(); ++u) {
-    const auto adj_u = g.neighbors(u);
-    for (VertexId v : adj_u) {
-      const auto adj_v = g.neighbors(v);
-      out[k++] = overlap_from_counts(intersect::count_hybrid(adj_u, adj_v),
-                                     adj_u.size(), adj_v.size());
-    }
-  }
-  return out;
+  return reference_count_scores(g, overlap_from_counts);
 }
 
 std::vector<double> reference_adamic_adar(const CSRGraph& g) {

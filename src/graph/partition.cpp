@@ -82,4 +82,14 @@ const char* partition_kind_name(PartitionKind kind) {
   return "unknown";
 }
 
+std::optional<PartitionKind> parse_partition_kind(std::string_view name) {
+  if (name == "block") return PartitionKind::Block1D;
+  if (name == "cyclic") return PartitionKind::Cyclic1D;
+  for (const PartitionKind kind :
+       {PartitionKind::Block1D, PartitionKind::Cyclic1D,
+        PartitionKind::DegreeBalanced1D, PartitionKind::Grid2D})
+    if (name == partition_kind_name(kind)) return kind;
+  return std::nullopt;
+}
+
 }  // namespace atlc::graph

@@ -147,14 +147,10 @@ StreamResult run_streaming_lcc(const graph::CSRGraph& g,
       out.stream_makespan = mark - out.initial_makespan;
     }
     rank_stats[ctx.rank()] = pipeline.harvest();
+    rank_stats[ctx.rank()].busy_seconds = ctx.now();
   });
 
-  for (core::PipelineRankStats& rs : rank_stats) {
-    out.edges_processed += rs.edges_processed;
-    out.remote_edges += rs.remote_edges;
-    out.offsets_cache_total += rs.offsets_cache;
-    out.adj_cache_total += rs.adj_cache;
-  }
+  for (core::PipelineRankStats& rs : rank_stats) out.absorb(std::move(rs));
   return out;
 }
 

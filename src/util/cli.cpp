@@ -28,7 +28,7 @@ void Cli::add_string(std::string name, std::string help,
       Entry{Kind::String, std::move(help), std::move(default_value)};
 }
 
-bool Cli::set(const std::string& name, const std::string& value) {
+bool Cli::set(const std::string& name, std::string_view value) {
   auto it = entries_.find(name);
   if (it == entries_.end()) {
     std::fprintf(stderr, "%s: unknown flag --%s\n", program_.c_str(),
@@ -53,12 +53,14 @@ bool Cli::parse(int argc, char** argv) {
       return false;
     }
     arg.remove_prefix(2);
-    std::string name, value;
-    if (auto eq = arg.find('='); eq != std::string_view::npos) {
-      name = std::string(arg.substr(0, eq));
-      value = std::string(arg.substr(eq + 1));
+    // `name` is constructed, not assigned after default construction: the
+    // inlined assign trips a false GCC 12 -Wrestrict in Release builds.
+    const std::size_t eq = arg.find('=');
+    const std::string name(arg.substr(0, eq));
+    std::string_view value;
+    if (eq != std::string_view::npos) {
+      value = arg.substr(eq + 1);
     } else {
-      name = std::string(arg);
       auto it = entries_.find(name);
       const bool is_flag = it != entries_.end() && it->second.kind == Kind::Flag;
       if (is_flag) {

@@ -241,13 +241,7 @@ const Json& BenchRecorder::finalize() {
 }
 
 bool BenchRecorder::write_file(const std::string& path) {
-  finalize();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) return false;
-  const std::string text = root_.dump(2);
-  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size() &&
-                  std::fputc('\n', f) != EOF;
-  return std::fclose(f) == 0 && ok;
+  return write_json_file(path, finalize());
 }
 
 }  // namespace atlc::util

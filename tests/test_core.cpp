@@ -179,7 +179,7 @@ TEST(Lcc, TinyCacheStillCorrect) {
 TEST(Lcc, NoDoubleBufferSameResult) {
   const CSRGraph g = rmat_graph(8, 8, 9);
   EngineConfig cfg;
-  cfg.double_buffer = false;
+  cfg.pipeline_depth = 1;  // no transfer/compute overlap
   expect_matches_reference(g, run_distributed_lcc(g, 4, cfg));
 }
 
@@ -282,8 +282,8 @@ TEST(Behaviour, TrackedRemoteReadsSumToRemoteEdges) {
 TEST(Behaviour, DoubleBufferNeverSlower) {
   const CSRGraph g = rmat_graph(9, 16, 19);
   EngineConfig over, none;
-  over.double_buffer = true;
-  none.double_buffer = false;
+  over.pipeline_depth = 2;
+  none.pipeline_depth = 1;
   const double t_over = run_distributed_lcc(g, 4, over).run.makespan;
   const double t_none = run_distributed_lcc(g, 4, none).run.makespan;
   EXPECT_LE(t_over, t_none + 1e-12);

@@ -651,6 +651,16 @@ TEST(Partition, KindNames) {
   EXPECT_STREQ(partition_kind_name(PartitionKind::DegreeBalanced1D),
                "degree1d");
   EXPECT_STREQ(partition_kind_name(PartitionKind::Grid2D), "grid2d");
+
+  // parse_partition_kind inverts the names and accepts the CLI aliases.
+  for (const PartitionKind kind :
+       {PartitionKind::Block1D, PartitionKind::Cyclic1D,
+        PartitionKind::DegreeBalanced1D, PartitionKind::Grid2D})
+    EXPECT_EQ(parse_partition_kind(partition_kind_name(kind)), kind);
+  EXPECT_EQ(parse_partition_kind("block"), PartitionKind::Block1D);
+  EXPECT_EQ(parse_partition_kind("cyclic"), PartitionKind::Cyclic1D);
+  for (const char* bad : {"", "grid", "Block1D", "degree", "unknown"})
+    EXPECT_EQ(parse_partition_kind(bad), std::nullopt) << bad;
 }
 
 TEST(Partition, DegreeBalancedOwnerAtPrefixSumTies) {

@@ -12,12 +12,12 @@
 
 #include "atlc/core/edge_pipeline.hpp"
 #include "atlc/core/fetcher.hpp"
-#include "atlc/core/jaccard.hpp"
 #include "atlc/core/lcc.hpp"
 #include "atlc/core/similarity.hpp"
 #include "atlc/graph/reference.hpp"
 #include "atlc/serve/query_engine.hpp"
 #include "atlc/serve/workload.hpp"
+#include "atlc/stream/stream_engine.hpp"
 #include "atlc/util/recorder.hpp"
 #include "test_support.hpp"
 
@@ -105,9 +105,9 @@ TEST_P(PipelineDepth, JaccardMatchesReference) {
   const CSRGraph g = rmat_graph(8, 8, 36);
   const auto ref = reference_jaccard(g);
   const auto r = run_distributed_jaccard(g, 4, depth_config(GetParam()));
-  ASSERT_EQ(r.similarity.size(), ref.size());
+  ASSERT_EQ(r.score.size(), ref.size());
   for (std::size_t k = 0; k < ref.size(); ++k)
-    ASSERT_DOUBLE_EQ(r.similarity[k], ref[k]) << "slot " << k;
+    ASSERT_DOUBLE_EQ(r.score[k], ref[k]) << "slot " << k;
 }
 
 INSTANTIATE_TEST_SUITE_P(Depths, PipelineDepth,
@@ -120,8 +120,8 @@ INSTANTIATE_TEST_SUITE_P(Depths, PipelineDepth,
 /// driven directly against the fetcher (finish e_i; begin e_{i+1};
 /// intersect e_i). The EdgePipeline at depth 2 must issue the identical
 /// begin/finish/charge sequence, hence bit-identical virtual makespans.
-double legacy_double_buffer_makespan(const CSRGraph& g, std::uint32_t ranks,
-                                     const EngineConfig& config) {
+double legacy_two_slot_makespan(const CSRGraph& g, std::uint32_t ranks,
+                                const EngineConfig& config) {
   const graph::Partition partition(graph::PartitionKind::Block1D,
                                    g.num_vertices(), ranks);
   rma::Runtime::Options opts;
@@ -162,9 +162,9 @@ double legacy_double_buffer_makespan(const CSRGraph& g, std::uint32_t ranks,
 TEST(PipelineEquivalence, Depth2MakespanBitIdenticalToLegacyDoubleBuffer) {
   const CSRGraph g = rmat_graph(8, 8, 37);
   for (std::uint32_t ranks : {2u, 4u}) {
-    EngineConfig cfg;  // double_buffer=true, pipeline_depth=2: paper engine
+    EngineConfig cfg;  // pipeline_depth=2: the paper engine
     const double engine = run_distributed_lcc(g, ranks, cfg).run.makespan;
-    const double legacy = legacy_double_buffer_makespan(g, ranks, cfg);
+    const double legacy = legacy_two_slot_makespan(g, ranks, cfg);
     EXPECT_EQ(engine, legacy) << "ranks=" << ranks;
   }
 }
@@ -175,19 +175,8 @@ TEST(PipelineEquivalence, Depth2MakespanBitIdenticalToLegacyCached) {
   cfg.use_cache = true;
   cfg.cache_sizing = CacheSizing::paper_default(g.num_vertices(), 1 << 18);
   const double engine = run_distributed_lcc(g, 4, cfg).run.makespan;
-  const double legacy = legacy_double_buffer_makespan(g, 4, cfg);
+  const double legacy = legacy_two_slot_makespan(g, 4, cfg);
   EXPECT_EQ(engine, legacy);
-}
-
-TEST(PipelineEquivalence, Depth1EqualsNoOverlapSwitch) {
-  // Both spellings of "no overlap" — double_buffer=false and
-  // pipeline_depth=1 — must price identically.
-  const CSRGraph g = rmat_graph(8, 8, 39);
-  EngineConfig off;
-  off.double_buffer = false;
-  const double t_off = run_distributed_lcc(g, 4, off).run.makespan;
-  const double t_k1 = run_distributed_lcc(g, 4, depth_config(1)).run.makespan;
-  EXPECT_EQ(t_off, t_k1);
 }
 
 TEST(PipelineBehaviour, DeeperPipelineNeverSlower) {
@@ -212,7 +201,7 @@ TEST(PipelineBehaviour, ResultsInvariantAcrossDepths) {
 
 // ------------------------------------------------- fetcher ring contract ---
 
-TEST(FetcherRing, RingSizeFollowsEffectiveDepth) {
+TEST(FetcherRing, RingSizeFollowsPipelineDepth) {
   const CSRGraph g = rmat_graph(7, 8, 42);
   const graph::Partition part(graph::PartitionKind::Block1D, g.num_vertices(),
                               2);
@@ -225,13 +214,15 @@ TEST(FetcherRing, RingSizeFollowsEffectiveDepth) {
       AdjacencyFetcher fetcher(ctx, dg, cfg);
       EXPECT_EQ(fetcher.ring_size(), k);
     }
-    EngineConfig off;
-    off.double_buffer = false;
-    off.pipeline_depth = 8;
-    AdjacencyFetcher fetcher(ctx, dg, off);
-    EXPECT_EQ(fetcher.ring_size(), 1u);  // double_buffer=false maps to 1
     ctx.barrier();
   });
+}
+
+TEST(FetcherRing, ZeroDepthRejected) {
+  testsupport::use_threadsafe_death_tests();
+  const CSRGraph g = rmat_graph(7, 8, 42);
+  EXPECT_DEATH((void)run_distributed_lcc(g, 2, depth_config(0)),
+               "pipeline_depth must be >= 1");
 }
 
 #ifndef NDEBUG
@@ -331,7 +322,7 @@ TEST(AdamicAdar, DirectedSinkContributesZero) {
 TEST(Similarity, OverlapDominatesJaccard) {
   // min(|A|,|B|) <= |A ∪ B| always, so O(u,v) >= J(u,v) edge-wise.
   const CSRGraph g = rmat_graph(9, 8, 47);
-  const auto jac = run_distributed_jaccard(g, 2).similarity;
+  const auto jac = run_distributed_jaccard(g, 2).score;
   const auto ovl = run_distributed_overlap(g, 2).score;
   ASSERT_EQ(jac.size(), ovl.size());
   for (std::size_t k = 0; k < jac.size(); ++k)
@@ -459,6 +450,20 @@ TEST(AnalyticStats, PerRankCountersSumToTotalsForEveryAnalytic) {
                                 "overlap");
   expect_aggregation_consistent(run_distributed_adamic_adar(g, 4, flat),
                                 "adamic_adar");
+
+  // The streaming engine aggregates through the same absorb() across the
+  // cold count and every batch (cached, hub replicas, several batches).
+  stream::WorkloadConfig wl;
+  wl.num_batches = 3;
+  wl.batch_size = 32;
+  wl.seed = 7;
+  stream::StreamOptions sopts;
+  sopts.engine = cfg;
+  const stream::StreamResult streamed =
+      stream::run_streaming_lcc(g, stream::generate_batches(g, wl), 4, sopts);
+  expect_aggregation_consistent(streamed, "stream");
+  EXPECT_EQ(streamed.busy_clocks.size(), 4u);
+  EXPECT_GT(streamed.adj_cache_total.accesses(), 0u);
 
   // The segment-fetch path: Grid2D runs count segment_gets, which must
   // aggregate like every other counter (this is the exact drop-a-counter

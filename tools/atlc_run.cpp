@@ -20,7 +20,6 @@
 #include <utility>
 #include <vector>
 
-#include "atlc/core/jaccard.hpp"
 #include "atlc/core/lcc.hpp"
 #include "atlc/core/similarity.hpp"
 #include "atlc/graph/clean.hpp"
@@ -64,7 +63,6 @@ core::EngineConfig engine_config(const util::Cli& cli,
   cfg.method = method == "ssi"      ? intersect::Method::SSI
                : method == "binary" ? intersect::Method::Binary
                                     : intersect::Method::Hybrid;
-  cfg.double_buffer = !cli.get_flag("no-overlap");
   cfg.pipeline_depth = static_cast<std::size_t>(
       std::max<std::int64_t>(1, cli.get_int("pipeline-depth")));
   cfg.hub_fraction = cli.get_double("hub-frac");
@@ -85,9 +83,8 @@ core::EngineConfig engine_config(const util::Cli& cli,
 /// --stats-json: the run's aggregate CommStats/CacheStats/makespan as one
 /// JSON document, for one-off runs without the bench harness.
 bool write_stats_json(const std::string& path, const std::string& algo,
-                      const rma::Runtime::Result& run,
-                      const clampi::CacheStats& offsets,
-                      const clampi::CacheStats& adj) {
+                      const core::EdgeAnalyticStats& stats) {
+  const rma::Runtime::Result& run = stats.run;
   util::Json doc = util::Json::object();
   doc["algo"] = algo;
   doc["ranks"] = run.stats.size();
@@ -100,19 +97,14 @@ bool write_stats_json(const std::string& path, const std::string& algo,
   util::Json clocks = util::Json::array();
   for (const double c : run.clocks) clocks.push_back(c);
   doc["clocks"] = std::move(clocks);
-  doc["offsets_cache"] = util::to_json(offsets);
-  doc["adj_cache"] = util::to_json(adj);
+  doc["offsets_cache"] = util::to_json(stats.offsets_cache_total);
+  doc["adj_cache"] = util::to_json(stats.adj_cache_total);
   doc["peak_rss_bytes"] = util::peak_rss_bytes();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) return false;
-  const std::string text = doc.dump(2);
-  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size() &&
-                  std::fputc('\n', f) != EOF;
-  return std::fclose(f) == 0 && ok;
+  return util::write_json_file(path, doc);
 }
 
-void print_run_summary(const rma::Runtime::Result& run,
-                       const clampi::CacheStats& adj) {
+void print_run_summary(const core::EdgeAnalyticStats& stats) {
+  const rma::Runtime::Result& run = stats.run;
   const auto total = run.total();
   std::fprintf(stderr,
                "# makespan %.4f s (virtual) | wall %.2f s | remote gets "
@@ -120,7 +112,7 @@ void print_run_summary(const rma::Runtime::Result& run,
                run.makespan, run.wall_seconds,
                static_cast<unsigned long long>(total.remote_gets),
                total.comm_seconds, total.compute_seconds,
-               100.0 * adj.hit_rate());
+               100.0 * stats.adj_cache_total.hit_rate());
   if (total.hub_local_hits > 0)
     std::fprintf(stderr, "# hub replica served %llu fetches locally\n",
                  static_cast<unsigned long long>(total.hub_local_hits));
@@ -150,10 +142,10 @@ int main(int argc, char** argv) {
                  "highest-degree vertices on every rank (0 = off)",
                  0.0);
   cli.add_string("method", "hybrid | ssi | binary", "hybrid");
-  cli.add_flag("no-overlap", "disable transfer/compute overlap (depth 1)",
-               false);
   cli.add_int("pipeline-depth",
-              "prefetch pipeline depth k (2 = paper double buffering)", 2);
+              "prefetch pipeline depth k (2 = paper double buffering, "
+              "1 = no overlap)",
+              2);
   cli.add_flag("cache", "enable CLaMPI-style RMA caching", false);
   cli.add_double("cache-frac", "cache budget as fraction of CSR bytes", 0.5);
   cli.add_string("scores", "clampi | degree (victim-selection scores)",
@@ -249,22 +241,15 @@ int main(int argc, char** argv) {
 
   const auto ranks = static_cast<std::uint32_t>(cli.get_int("ranks"));
   const std::string& part_name = cli.get_string("partition");
-  graph::PartitionKind partition;
-  if (part_name == "block" || part_name == "block1d") {
-    partition = graph::PartitionKind::Block1D;
-  } else if (part_name == "cyclic" || part_name == "cyclic1d") {
-    partition = graph::PartitionKind::Cyclic1D;
-  } else if (part_name == "degree1d") {
-    partition = graph::PartitionKind::DegreeBalanced1D;
-  } else if (part_name == "grid2d") {
-    partition = graph::PartitionKind::Grid2D;
-  } else {
+  const auto parsed_partition = graph::parse_partition_kind(part_name);
+  if (!parsed_partition) {
     std::fprintf(stderr,
                  "atlc_run: unknown --partition '%s' (block | cyclic | "
                  "degree1d | grid2d)\n",
                  part_name.c_str());
     return 1;
   }
+  const graph::PartitionKind partition = *parsed_partition;
   auto cfg = engine_config(cli, g);
   // Tracing is wired only when requested: a null EngineConfig::trace keeps
   // every hook down to a single pointer test, so untraced runs stay
@@ -297,9 +282,7 @@ int main(int argc, char** argv) {
   const std::string& algo = cli.get_string("algo");
   // Shared artifact emission for every engine path (stream / lcc / tc /
   // similarity): the Chrome trace and the --stats-json document.
-  const auto emit_artifacts = [&](const rma::Runtime::Result& run,
-                                  const clampi::CacheStats& offsets,
-                                  const clampi::CacheStats& adj) {
+  const auto emit_artifacts = [&](const core::EdgeAnalyticStats& stats) {
     if (!trace_path.empty()) {
       if (!trace.write_chrome_trace(trace_path)) {
         std::fprintf(stderr, "atlc_run: cannot write %s\n",
@@ -310,13 +293,23 @@ int main(int argc, char** argv) {
                    trace.total_events(), trace_path.c_str());
     }
     if (!stats_path.empty()) {
-      if (!write_stats_json(stats_path, algo, run, offsets, adj)) {
+      if (!write_stats_json(stats_path, algo, stats)) {
         std::fprintf(stderr, "atlc_run: cannot write %s\n",
                      stats_path.c_str());
         std::exit(1);
       }
     }
   };
+  // The per-edge similarity analytics share one signature, slot layout and
+  // stats block: --algo selects the function, one path emits the result.
+  using SimilarityFn = core::SimilarityResult (*)(
+      const graph::CSRGraph&, std::uint32_t, const core::EngineConfig&,
+      const rma::NetworkModel&, graph::PartitionKind);
+  const SimilarityFn similarity =
+      algo == "jaccard"       ? core::run_distributed_jaccard
+      : algo == "overlap"     ? core::run_distributed_overlap
+      : algo == "adamic-adar" ? core::run_distributed_adamic_adar
+                              : nullptr;
   // Friendly rejections for the 2D partition: the incremental stream
   // counter and the per-edge similarity analytics are 1D-only (the library
   // would abort on the same conditions via ATLC_CHECK).
@@ -327,8 +320,7 @@ int main(int argc, char** argv) {
                  "--stream-batches yet (incremental counting is 1D-only)\n");
     return 1;
   }
-  if (partition == graph::PartitionKind::Grid2D &&
-      (algo == "jaccard" || algo == "overlap" || algo == "adamic-adar")) {
+  if (partition == graph::PartitionKind::Grid2D && similarity != nullptr) {
     std::fprintf(stderr,
                  "atlc_run: --partition grid2d does not support per-edge "
                  "similarity scores (they need whole adjacency rows)\n");
@@ -359,8 +351,8 @@ int main(int argc, char** argv) {
     sopts.engine = cfg;
     sopts.partition = partition;
     const auto r = stream::run_streaming_lcc(g, batches, ranks, sopts);
-    emit_artifacts(r.run, r.offsets_cache_total, r.adj_cache_total);
-    print_run_summary(r.run, r.adj_cache_total);
+    emit_artifacts(r);
+    print_run_summary(r);
     std::fprintf(stderr,
                  "# cold count %.4f s | stream %.4f s over %zu batches | "
                  "stale evictions %llu\n",
@@ -394,8 +386,8 @@ int main(int argc, char** argv) {
   }
   if (algo == "lcc") {
     const auto r = core::run_distributed_lcc(g, ranks, cfg, {}, partition);
-    emit_artifacts(r.run, r.offsets_cache_total, r.adj_cache_total);
-    print_run_summary(r.run, r.adj_cache_total);
+    emit_artifacts(r);
+    print_run_summary(r);
     std::fprintf(stderr, "# global triangles: %llu\n",
                  static_cast<unsigned long long>(r.global_triangles));
     if (!cli.get_flag("stats-only")) {
@@ -407,35 +399,19 @@ int main(int argc, char** argv) {
     }
   } else if (algo == "tc") {
     const auto r = core::run_distributed_tc_result(g, ranks, cfg, {}, partition);
-    emit_artifacts(r.run, r.offsets_cache_total, r.adj_cache_total);
+    emit_artifacts(r);
     std::fprintf(out.get(), "global_triangles\n%llu\n",
                  static_cast<unsigned long long>(r.global_triangles));
-  } else if (algo == "jaccard" || algo == "overlap" || algo == "adamic-adar") {
-    // The per-edge similarity analytics share the slot layout and the
-    // EdgeAnalyticStats block, so one emission path serves all three.
-    std::vector<double> scores;
-    if (algo == "jaccard") {
-      auto r = core::run_distributed_jaccard(g, ranks, cfg, {}, partition);
-      emit_artifacts(r.run, r.offsets_cache_total, r.adj_cache_total);
-      print_run_summary(r.run, r.adj_cache_total);
-      scores = std::move(r.similarity);
-    } else if (algo == "overlap") {
-      auto r = core::run_distributed_overlap(g, ranks, cfg, {}, partition);
-      emit_artifacts(r.run, r.offsets_cache_total, r.adj_cache_total);
-      print_run_summary(r.run, r.adj_cache_total);
-      scores = std::move(r.score);
-    } else {
-      auto r = core::run_distributed_adamic_adar(g, ranks, cfg, {}, partition);
-      emit_artifacts(r.run, r.offsets_cache_total, r.adj_cache_total);
-      print_run_summary(r.run, r.adj_cache_total);
-      scores = std::move(r.score);
-    }
+  } else if (similarity != nullptr) {
+    const auto r = similarity(g, ranks, cfg, {}, partition);
+    emit_artifacts(r);
+    print_run_summary(r);
     if (!cli.get_flag("stats-only")) {
       std::fprintf(out.get(), "u,v,%s\n", algo.c_str());
       std::size_t k = 0;
       for (graph::VertexId u = 0; u < g.num_vertices(); ++u)
         for (graph::VertexId v : g.neighbors(u))
-          std::fprintf(out.get(), "%u,%u,%.6f\n", u, v, scores[k++]);
+          std::fprintf(out.get(), "%u,%u,%.6f\n", u, v, r.score[k++]);
     }
   } else {
     std::fprintf(stderr, "atlc_run: unknown --algo '%s'\n", algo.c_str());

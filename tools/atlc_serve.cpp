@@ -76,15 +76,6 @@ util::Json stats_json(const serve::ServeResult& res) {
   return doc;
 }
 
-bool write_json(const std::string& path, const util::Json& doc) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string text = doc.dump(2);
-  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size() &&
-                  std::fputc('\n', f) != EOF;
-  return std::fclose(f) == 0 && ok;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -159,19 +150,15 @@ int main(int argc, char** argv) {
     opts.hot_cache.ways = static_cast<std::size_t>(cli.get_int("hot-ways"));
     opts.engine.hub_fraction = cli.get_double("hub-frac");
     const std::string& part = cli.get_string("partition");
-    if (part == "block") {
-      opts.partition = graph::PartitionKind::Block1D;
-    } else if (part == "cyclic") {
-      opts.partition = graph::PartitionKind::Cyclic1D;
-    } else if (part == "degree1d") {
-      opts.partition = graph::PartitionKind::DegreeBalanced1D;
-    } else {
+    const auto kind = graph::parse_partition_kind(part);
+    if (!kind || *kind == graph::PartitionKind::Grid2D) {
       std::fprintf(stderr,
-                   "atlc_serve: unknown --partition '%s' (point queries "
+                   "atlc_serve: unsupported --partition '%s' (point queries "
                    "need whole rows: block | cyclic | degree1d)\n",
                    part.c_str());
       return 1;
     }
+    opts.partition = *kind;
     if (cli.get_flag("cached")) {
       opts.engine.use_cache = true;
       opts.engine.cache_sizing = core::CacheSizing::paper_default(
@@ -219,7 +206,8 @@ int main(int argc, char** argv) {
                 res.build_makespan, res.serve_makespan);
 
     if (!cli.get_string("stats-json").empty()) {
-      if (!write_json(cli.get_string("stats-json"), stats_json(res))) {
+      if (!util::write_json_file(cli.get_string("stats-json"),
+                                 stats_json(res))) {
         std::fprintf(stderr, "atlc_serve: cannot write %s\n",
                      cli.get_string("stats-json").c_str());
         return 1;
