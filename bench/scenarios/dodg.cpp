@@ -66,7 +66,6 @@ void run(bench::ScenarioContext& ctx) {
     std::uint64_t first_count = 0;
     for (const auto& arm : arms) {
       core::EngineConfig cfg;
-      cfg.orient_dodg = arm.orient;
       cfg.intersect_tier = arm.tier;
       cfg.cost = ctx.cost();
 
@@ -76,7 +75,8 @@ void run(bench::ScenarioContext& ctx) {
       core::RunResult r;
       for (std::size_t trial = 0; trial < std::max<std::size_t>(1, ctx.repeats);
            ++trial) {
-        r = core::run_distributed_tc_result(g, ranks, cfg);
+        r = core::run_distributed_tc_result(
+            g, ranks, cfg, {}, graph::PartitionKind::Block1D, arm.orient);
         util::Json detail = util::Json::object();
         detail["global_triangles"] = r.global_triangles;
         detail["edges_processed"] = r.edges_processed;

@@ -237,7 +237,7 @@ void run(bench::ScenarioContext& ctx) {
                          {.unit = "MiB", .direction = "lower",
                           .expect_deterministic = false});
   ctx.rec.add_trial("ingest/peak_rss_mb",
-                    static_cast<double>(ingest::peak_rss_bytes()) /
+                    static_cast<double>(util::peak_rss_bytes()) /
                         (1024.0 * 1024.0));
   ctx.rec.meta()["input_bytes"] = static_cast<double>(input_bytes);
   ctx.rec.add_note(

@@ -36,29 +36,24 @@ struct CacheSizing {
 /// Configuration of the distributed edge-analytic engine (paper Algorithm 3
 /// generalised by core::EdgePipeline): every analytic — LCC, TC and the
 /// per-edge similarity measures — runs on the same configuration surface.
+/// Choices only one analytic can honour are not fields here: the TC
+/// drivers decide upper-triangle trimming themselves and take the DODG
+/// orientation as their own argument (core/lcc.hpp).
 struct EngineConfig {
   intersect::Method method = intersect::Method::Hybrid;
 
-  /// Kernel generation serving local intersections (intersect/tiered.hpp,
-  /// DESIGN.md §9). `Paper` — the default — is the scalar binary/SSI/hybrid
-  /// family selected by `method`, and is what every checked-in virtual-time
-  /// smoke baseline was recorded against; it must stay the default so those
-  /// baselines reproduce bit-identically. `Tiered` dispatches per list
-  /// shape: a dense reusable bitmap for hub rows, galloping search for
-  /// highly skewed pairs, branch-reduced merge for the long tail. Results
-  /// are identical under either tier (all kernels are exact); only the
-  /// charged virtual compute time differs.
+  /// Kernel generation serving every counting intersection
+  /// (intersect::Intersector, DESIGN.md §9) — LCC/TC, Jaccard/overlap and
+  /// the serve `lcc(v)` query alike. `Paper` — the default — is the scalar
+  /// binary/SSI/hybrid family selected by `method`, and is what every
+  /// checked-in virtual-time smoke baseline was recorded against; it must
+  /// stay the default so those baselines reproduce bit-identically.
+  /// `Tiered` dispatches per list shape (default intersect::TierPolicy): a
+  /// dense reusable bitmap for hub rows, galloping search for highly
+  /// skewed pairs, branch-reduced merge for the long tail. Results are
+  /// identical under either tier (all kernels are exact); only the charged
+  /// virtual compute time differs.
   intersect::Tier intersect_tier = intersect::Tier::Paper;
-
-  /// Shape thresholds of the Tiered dispatch (ignored under Paper).
-  intersect::TierPolicy tier_policy{};
-
-  /// Orient the input degree-ordered (graph::orient_dodg) before counting,
-  /// so each triangle is enumerated exactly once with no per-edge
-  /// upper-triangle floor trick. Honored by run_distributed_tc only: LCC
-  /// and the similarity analytics need full undirected neighborhoods, so
-  /// their drivers reject it. DESIGN.md §9.
-  bool orient_dodg = false;
 
   /// Compute-cost model for virtual-time charging (see
   /// intersect/cost_model.hpp). Benches calibrate this once on startup.
@@ -104,11 +99,6 @@ struct EngineConfig {
   /// unchanged for any δ; virtual times change (fewer remote gets) but
   /// stay deterministic.
   double hub_fraction = 0.0;
-
-  /// Count only common neighbors k > j (upper-triangle de-duplication,
-  /// paper Section II-C). Halves work for global TC; per-vertex LCC needs
-  /// the full count, so LCC runs keep this false.
-  bool upper_triangle_only = false;
 
   /// Out-of-core graph build: when non-null, run_edge_analytic passes this
   /// to build_dist_graph and each rank's local CSR slice is seek-read from

@@ -19,9 +19,11 @@ struct RankResult {
 };
 
 /// Paper Algorithm 3 body for one rank, as an EdgePipeline kernel: count
-/// triangles for every locally owned vertex, reading remote adjacency lists
-/// through the two-get RMA protocol (optionally cached) over the caller's
-/// pipeline, and derive LCC scores.
+/// the full edge-centric t(v) for every locally owned vertex (no
+/// upper-triangle trimming), reading remote adjacency lists through the
+/// two-get RMA protocol (optionally cached) over the caller's pipeline, and
+/// derive LCC scores. 1D partitions only. One pass: the kernel's
+/// intersector lives for this call, so callers may rebuild rows in between.
 [[nodiscard]] RankResult compute_lcc_rank(rma::RankCtx& ctx,
                                           const DistGraph& dg,
                                           const EngineConfig& config,
@@ -45,14 +47,17 @@ struct RunResult : EdgeAnalyticStats {
 
 /// Global triangle count via the same machinery. For undirected graphs
 /// returns the number of distinct triangles. Two de-duplication paths:
-/// the paper's upper-triangle floor trick (default), or — when
-/// `config.orient_dodg` is set — a degree-ordered orientation pass
-/// (graph::orient_dodg) that enumerates each triangle exactly once with no
-/// per-edge trimming and caps every row at O(sqrt(m)) (DESIGN.md §9).
+/// the paper's upper-triangle floor trick (default), or — with
+/// `orient_dodg` — a degree-ordered orientation pass (graph::orient_dodg)
+/// that enumerates each triangle exactly once with no per-edge trimming
+/// and caps every row at O(sqrt(m)) (DESIGN.md §9). The orientation is a
+/// TC-only choice — LCC and the similarity analytics need full undirected
+/// neighborhoods — so it is an argument here, not an EngineConfig field.
 [[nodiscard]] std::uint64_t run_distributed_tc(
-    const CSRGraph& g, std::uint32_t ranks, EngineConfig config = {},
+    const CSRGraph& g, std::uint32_t ranks, const EngineConfig& config = {},
     const rma::NetworkModel& net = {},
-    graph::PartitionKind partition = graph::PartitionKind::Block1D);
+    graph::PartitionKind partition = graph::PartitionKind::Block1D,
+    bool orient_dodg = false);
 
 /// Full-record variant of run_distributed_tc: same counting paths, but
 /// returns the whole RunResult (makespan, comm/cache stats, per-vertex
@@ -61,8 +66,9 @@ struct RunResult : EdgeAnalyticStats {
 /// (deg, id)-least edge starts at v, NOT the edge-centric t(v);
 /// `global_triangles` is exact either way.
 [[nodiscard]] RunResult run_distributed_tc_result(
-    const CSRGraph& g, std::uint32_t ranks, EngineConfig config = {},
+    const CSRGraph& g, std::uint32_t ranks, const EngineConfig& config = {},
     const rma::NetworkModel& net = {},
-    graph::PartitionKind partition = graph::PartitionKind::Block1D);
+    graph::PartitionKind partition = graph::PartitionKind::Block1D,
+    bool orient_dodg = false);
 
 }  // namespace atlc::core

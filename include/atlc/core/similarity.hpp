@@ -18,8 +18,9 @@ namespace atlc::core {
 /// k). Link-prediction applications rank candidate edges by it. The
 /// inherited EdgeAnalyticStats block is aggregated by run_edge_analytic
 /// identically to every other analytic. All measures run on the same
-/// EngineConfig as LCC (method, caching, pipeline depth and 1D partitioning
-/// all apply; `upper_triangle_only` must stay false).
+/// EngineConfig as LCC: method, intersect tier (Jaccard and overlap count
+/// through intersect::Intersector), caching, pipeline depth and 1D
+/// partitioning all apply.
 struct SimilarityResult : EdgeAnalyticStats {
   std::vector<double> score;  ///< one per adjacency slot
 };

@@ -38,6 +38,15 @@ struct CostModel {
   [[nodiscard]] double seconds(Method m, std::size_t len_a,
                                std::size_t len_b) const;
 
+  /// Predicted seconds for one for_each_common enumeration of a ∩ b: the
+  /// SSI merge walk it performs, so priced as seconds(Method::SSI, ...).
+  /// The enumerating kernels (Adamic–Adar, the incremental counter) charge
+  /// this; counting kernels go through intersect::Intersector instead.
+  [[nodiscard]] double seconds_enumerate(std::size_t len_a,
+                                         std::size_t len_b) const {
+    return seconds(Method::SSI, len_a, len_b);
+  }
+
   /// Predicted seconds for `keys` independent binary probes into a sorted
   /// list of `tree` elements. Unlike seconds(), no argument swap happens:
   /// this prices exactly that loop (TriC verifies each candidate closing

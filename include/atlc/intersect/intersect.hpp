@@ -2,7 +2,9 @@
 
 #include <concepts>
 #include <cstdint>
+#include <optional>
 #include <span>
+#include <string_view>
 
 #include "atlc/graph/types.hpp"
 
@@ -18,6 +20,10 @@ enum class Method : std::uint8_t {
 };
 
 [[nodiscard]] const char* method_name(Method m);
+
+/// Inverse of method_name ("binary" / "ssi" / "hybrid"); nullopt for any
+/// other name.
+[[nodiscard]] std::optional<Method> parse_method(std::string_view name);
 
 /// Kernel generation serving local intersections. `Paper` is the scalar
 /// binary/SSI/hybrid family above (the default: every virtual-time smoke
@@ -38,7 +44,8 @@ enum class TierKernel : std::uint8_t {
 
 [[nodiscard]] const char* tier_kernel_name(TierKernel k);
 
-/// Shape thresholds of the Tiered dispatch (EngineConfig::tier_policy).
+/// Shape thresholds of the Tiered dispatch (an Intersector constructor
+/// argument; the engine always runs the defaults).
 struct TierPolicy {
   /// Rows at least this long get a reusable dense bitmap ("hub rows"); the
   /// build cost amortises over the row's contiguous run of edges in the
@@ -96,8 +103,8 @@ struct TierPolicy {
 /// SSI walk of paper Algorithm 2 with a visitor instead of a counter).
 /// Kernels that need the common neighbors themselves — Adamic–Adar weights
 /// each by its degree — use this; its virtual-time cost is charged as an
-/// SSI intersection (CostModel::seconds(Method::SSI, |a|, |b|)) since it
-/// performs exactly that merge. Preconditions: sorted, no duplicates.
+/// SSI intersection (CostModel::seconds_enumerate) since it performs
+/// exactly that merge. Preconditions: sorted, no duplicates.
 template <typename F>
   requires std::invocable<F&, VertexId>
 void for_each_common(std::span<const VertexId> a, std::span<const VertexId> b,

@@ -13,9 +13,10 @@
 //     row and probed word-at-a-time with popcount for every edge of that
 //     row.
 //
-// TieredIntersector packages the per-pair dispatch (select_tier_kernel),
-// the bitmap-reuse lifetime, and the virtual-time pricing behind one call.
-// All kernels are exact — tests/test_intersect_diff.cpp cross-checks every
+// Intersector packages the choice between the paper family and these
+// kernels, the per-pair dispatch (select_tier_kernel), the bitmap-reuse
+// lifetime, and the virtual-time pricing behind one call. All kernels are
+// exact — tests/test_intersect_diff.cpp cross-checks every
 // tier against std::set_intersection over ~10k randomized pairs.
 
 #include <cstdint>
@@ -56,7 +57,8 @@ class RowBitmap {
 
   /// True iff the current contents were built from exactly this span
   /// (pointer + length identity). The engine's local adjacency rows are
-  /// stable for a whole run, so span identity keys the per-row reuse. The
+  /// stable for a whole pipeline pass, so span identity keys the per-row
+  /// reuse within one (see Intersector for the pass lifetime). The
   /// `built_` flag guards the fresh-bitmap case: an empty span's data() is
   /// nullptr, which would otherwise match the default member state and let
   /// a caller probe a never-sized word array.
@@ -82,30 +84,49 @@ class RowBitmap {
   bool built_ = false;
 };
 
-/// Per-rank stateful dispatcher for the Tiered kernel generation: picks a
-/// kernel per (row, other) pair via select_tier_kernel, owns the RowBitmap
-/// whose lifetime spans all consecutive edges of the current row, and
-/// reports the modeled virtual-time cost of the work performed (including
-/// any bitmap build it triggered). The `row` side must be the stable one —
-/// in the engine that is the rank's local adjacency, which outlives the
-/// run; the transient fetched side is only ever probed, never cached, so
-/// the fetcher's ring-slot lifetime rules are not implicated (DESIGN.md §9).
-class TieredIntersector {
+/// The one priced intersection every counting engine kernel goes through
+/// (LCC/TC, Jaccard/overlap, the serve `lcc(v)` query): |row ∩ other| under
+/// the configured kernel generation, plus the modeled virtual-time cost of
+/// the work performed and the trace event name that labels it.
+///
+///   - Tier::Paper — count_common(method) priced by
+///     CostModel::seconds(method, |a|, |b|): the paper's scalar family.
+///   - Tier::Tiered — a kernel per (row, other) pair via select_tier_kernel,
+///     priced by CostModel::seconds_tiered plus any bitmap build it
+///     triggered.
+///
+/// Lifetime: one pipeline pass. The Tiered bitmap is keyed on the span
+/// identity (pointer + length) of the `row` side, which is sound only while
+/// every row it has seen keeps its contents. Local adjacency rows are
+/// stable within a pass, but the streaming and serving engines rebuild them
+/// between epochs — a rebuilt row may reuse the old address and length —
+/// so an Intersector must never outlive a batch apply (DESIGN.md §9).
+class Intersector {
  public:
   /// `universe` bounds every vertex id that will appear in rows or probe
-  /// lists (the engine passes the global vertex count).
-  TieredIntersector(const TierPolicy& policy, const CostModel& cost,
-                    VertexId universe)
-      : policy_(policy), cost_(cost), universe_(universe) {}
+  /// lists (the engine passes the global vertex count). `policy` is the
+  /// Tiered shape thresholds; the engine always uses the defaults, and
+  /// tests pass pinned policies to force one kernel.
+  Intersector(Method method, Tier tier, const CostModel& cost,
+              VertexId universe, const TierPolicy& policy = {})
+      : method_(method),
+        tier_(tier),
+        cost_(cost),
+        universe_(universe),
+        policy_(policy) {}
 
   struct Outcome {
     std::uint64_t common = 0;
     double seconds = 0.0;  ///< modeled cost, including any bitmap build
-    TierKernel kernel = TierKernel::MergeVec;
+    /// Trace event name: "intersect" under Paper, "intersect_{bitmap,
+    /// gallop,merge}" per Tiered kernel (atlc_trace histograms
+    /// intersection sizes per kernel by it).
+    const char* event = "intersect";
   };
 
-  /// |row ∩ other| with per-pair kernel selection. `row` is the reusable
-  /// side (bitmap candidate); `other` the transient side.
+  /// |row ∩ other|. `row` is the side stable for the whole pass (the
+  /// rank's local adjacency — the bitmap candidate); `other` the transient
+  /// fetched side, which is only ever probed, never cached.
   [[nodiscard]] Outcome intersect(std::span<const VertexId> row,
                                   std::span<const VertexId> other);
 
@@ -113,28 +134,27 @@ class TieredIntersector {
   /// (the 2D segment engine, where even "this rank's" row segments arrive
   /// through the ring from sibling ranks). Span identity is meaningless for
   /// recycled slots — the same pointer holds different contents a few
-  /// fetches later — so the bitmap tier (whose amortisation *is* that
-  /// span-identity reuse) is never selected; skewed pairs gallop, the rest
-  /// merge. Never touches the per-row bitmap state, so transient and
-  /// row-reuse calls can interleave safely.
+  /// fetches later — so the bitmap tier is never selected; skewed pairs
+  /// gallop, the rest merge. Never touches the bitmap state, so transient
+  /// and row-reuse calls can interleave safely.
   [[nodiscard]] Outcome intersect_transient(std::span<const VertexId> a,
                                             std::span<const VertexId> b);
 
-  /// Dispatch counters for bench reporting.
-  struct Stats {
-    std::uint64_t bitmap_builds = 0;
-    std::uint64_t bitmap_pairs = 0;
-    std::uint64_t gallop_pairs = 0;
-    std::uint64_t merge_pairs = 0;
-  };
-  [[nodiscard]] const Stats& stats() const { return stats_; }
+  /// Bitmap (re)builds so far (always 0 under Paper). Per-kernel pair
+  /// counts are in the trace, by Outcome::event.
+  [[nodiscard]] std::uint64_t bitmap_builds() const { return bitmap_builds_; }
 
  private:
-  TierPolicy policy_;
+  Outcome run_tiered(TierKernel kernel, std::span<const VertexId> a,
+                     std::span<const VertexId> b);
+
+  Method method_;
+  Tier tier_;
   CostModel cost_;
   VertexId universe_;
+  TierPolicy policy_;
   RowBitmap bitmap_;
-  Stats stats_;
+  std::uint64_t bitmap_builds_ = 0;
 };
 
 }  // namespace atlc::intersect

@@ -68,8 +68,9 @@ struct StreamResult : core::EdgeAnalyticStats {
 
 /// Run the streaming engine: cold full LCC/TC count of `g`, then apply
 /// each batch in order, maintaining counts incrementally. Undirected
-/// input only; `options.engine.upper_triangle_only` is forced off (LCC
-/// needs full per-vertex counts).
+/// input only. The cold count is one core::compute_lcc_rank pass, so its
+/// intersector (and any Tiered row bitmap) is gone before the first batch
+/// rebuilds rows.
 [[nodiscard]] StreamResult run_streaming_lcc(
     const graph::CSRGraph& g, std::span<const Batch> batches,
     std::uint32_t ranks, const StreamOptions& options = {});

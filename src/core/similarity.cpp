@@ -5,6 +5,7 @@
 #include <span>
 
 #include "atlc/intersect/intersect.hpp"
+#include "atlc/intersect/tiered.hpp"
 #include "atlc/util/check.hpp"
 
 namespace atlc::core {
@@ -70,8 +71,6 @@ SimilarityResult run_edge_scores(const CSRGraph& g, std::uint32_t ranks,
                                  const rma::NetworkModel& net,
                                  graph::PartitionKind partition_kind,
                                  Setup&& setup, ScoreEdge&& score_edge) {
-  ATLC_CHECK(!config.upper_triangle_only,
-             "per-edge scores need full intersections per edge");
   ATLC_CHECK(partition_kind != graph::PartitionKind::Grid2D,
              "per-edge score analytics are 1D-only: their kernels need the "
              "whole adjacency row per edge (denominators use full degrees), "
@@ -100,9 +99,9 @@ SimilarityResult run_edge_scores(const CSRGraph& g, std::uint32_t ranks,
 }
 
 /// run_edge_scores for the count-normalised measures (Jaccard, overlap):
-/// no per-rank setup; each edge counts |adj(u) ∩ adj(v)| with the
-/// configured method, charges its modelled cost, and normalises by the
-/// two degrees.
+/// each rank's setup is its Intersector for this pass; each edge counts
+/// |adj(u) ∩ adj(v)| with it (the local adj(u) is the stable row side),
+/// charges the priced cost, and normalises by the two degrees.
 SimilarityResult run_count_scores(const CSRGraph& g, std::uint32_t ranks,
                                   const EngineConfig& config,
                                   const rma::NetworkModel& net,
@@ -110,15 +109,17 @@ SimilarityResult run_count_scores(const CSRGraph& g, std::uint32_t ranks,
                                   CountScore normalise) {
   return run_edge_scores(
       g, ranks, config, net, partition,
-      [](rma::RankCtx&, const DistGraph&) { return 0; },
-      [&config, normalise](rma::RankCtx& ctx, int,
-                           std::span<const VertexId> adj_v,
-                           std::span<const VertexId> adj_j) {
-        const std::uint64_t common =
-            intersect::count_common(adj_v, adj_j, config.method);
-        ctx.charge_compute(
-            config.cost.seconds(config.method, adj_v.size(), adj_j.size()));
-        return normalise(common, adj_v.size(), adj_j.size());
+      [&config](rma::RankCtx&, const DistGraph& dg) {
+        return intersect::Intersector(config.method, config.intersect_tier,
+                                      config.cost,
+                                      dg.partition.num_vertices());
+      },
+      [normalise](rma::RankCtx& ctx, intersect::Intersector& isect,
+                  std::span<const VertexId> adj_v,
+                  std::span<const VertexId> adj_j) {
+        const auto out = isect.intersect(adj_v, adj_j);
+        ctx.charge_compute(out.seconds);
+        return normalise(out.common, adj_v.size(), adj_j.size());
       });
 }
 
@@ -175,10 +176,8 @@ SimilarityResult run_distributed_adamic_adar(const CSRGraph& g,
         intersect::for_each_common(adj_v, adj_j, [&](VertexId w) {
           aa += adamic_adar_weight(degree[w]);
         });
-        // The enumerating merge is an SSI walk; charge it as one (see
-        // for_each_common in intersect.hpp).
-        ctx.charge_compute(config.cost.seconds(
-            intersect::Method::SSI, adj_v.size(), adj_j.size()));
+        ctx.charge_compute(
+            config.cost.seconds_enumerate(adj_v.size(), adj_j.size()));
         return aa;
       });
 }

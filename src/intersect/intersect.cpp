@@ -14,6 +14,12 @@ const char* method_name(Method m) {
   return "?";
 }
 
+std::optional<Method> parse_method(std::string_view name) {
+  for (const Method m : {Method::Binary, Method::SSI, Method::Hybrid})
+    if (name == method_name(m)) return m;
+  return std::nullopt;
+}
+
 const char* tier_name(Tier t) {
   switch (t) {
     case Tier::Paper: return "paper";

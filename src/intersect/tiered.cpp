@@ -107,53 +107,51 @@ std::uint64_t RowBitmap::count_in(std::span<const VertexId> list) const {
   return count;
 }
 
-TieredIntersector::Outcome TieredIntersector::intersect(
-    std::span<const VertexId> row, std::span<const VertexId> other) {
-  Outcome out;
-  out.kernel = select_tier_kernel(row.size(), other.size(), policy_);
-  switch (out.kernel) {
-    case TierKernel::Bitmap:
-      if (!bitmap_.built_for(row)) {
-        bitmap_.build(row, universe_);
-        out.seconds += cost_.seconds_bitmap_build(row.size());
-        ++stats_.bitmap_builds;
-      }
-      out.common = bitmap_.count_in(other);
-      ++stats_.bitmap_pairs;
-      break;
-    case TierKernel::Gallop:
-      out.common = count_gallop(row, other);
-      ++stats_.gallop_pairs;
-      break;
-    case TierKernel::MergeVec:
-      out.common = count_merge_vec(row, other);
-      ++stats_.merge_pairs;
-      break;
-  }
-  out.seconds += cost_.seconds_tiered(out.kernel, row.size(), other.size());
-  return out;
+Intersector::Outcome Intersector::intersect(std::span<const VertexId> row,
+                                            std::span<const VertexId> other) {
+  if (tier_ == Tier::Paper)
+    return {count_common(row, other, method_),
+            cost_.seconds(method_, row.size(), other.size())};
+  return run_tiered(select_tier_kernel(row.size(), other.size(), policy_),
+                    row, other);
 }
 
-TieredIntersector::Outcome TieredIntersector::intersect_transient(
+Intersector::Outcome Intersector::intersect_transient(
     std::span<const VertexId> a, std::span<const VertexId> b) {
+  if (tier_ == Tier::Paper)
+    return {count_common(a, b, method_),
+            cost_.seconds(method_, a.size(), b.size())};
+  TierKernel kernel = select_tier_kernel(a.size(), b.size(), policy_);
+  // No stable row, no amortised build: gallop is the right kernel for the
+  // bitmap-shaped (highly skewed) pairs.
+  if (kernel == TierKernel::Bitmap) kernel = TierKernel::Gallop;
+  return run_tiered(kernel, a, b);
+}
+
+Intersector::Outcome Intersector::run_tiered(TierKernel kernel,
+                                             std::span<const VertexId> a,
+                                             std::span<const VertexId> b) {
   Outcome out;
-  out.kernel = select_tier_kernel(a.size(), b.size(), policy_);
-  if (out.kernel == TierKernel::Bitmap) {
-    // No stable row, no amortised build: gallop is the right kernel for
-    // the bitmap-shaped (highly skewed) pairs.
-    out.kernel = TierKernel::Gallop;
-  }
-  switch (out.kernel) {
+  switch (kernel) {
+    case TierKernel::Bitmap:
+      if (!bitmap_.built_for(a)) {
+        bitmap_.build(a, universe_);
+        out.seconds += cost_.seconds_bitmap_build(a.size());
+        ++bitmap_builds_;
+      }
+      out.common = bitmap_.count_in(b);
+      out.event = "intersect_bitmap";
+      break;
     case TierKernel::Gallop:
       out.common = count_gallop(a, b);
-      ++stats_.gallop_pairs;
+      out.event = "intersect_gallop";
       break;
-    default:
+    case TierKernel::MergeVec:
       out.common = count_merge_vec(a, b);
-      ++stats_.merge_pairs;
+      out.event = "intersect_merge";
       break;
   }
-  out.seconds += cost_.seconds_tiered(out.kernel, a.size(), b.size());
+  out.seconds += cost_.seconds_tiered(kernel, a.size(), b.size());
   return out;
 }
 

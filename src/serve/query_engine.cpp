@@ -10,6 +10,7 @@
 #include "atlc/graph/hub_replica.hpp"
 #include "atlc/graph/reference.hpp"
 #include "atlc/intersect/intersect.hpp"
+#include "atlc/intersect/tiered.hpp"
 #include "atlc/stream/batch_applier.hpp"
 #include "atlc/util/check.hpp"
 
@@ -121,13 +122,17 @@ void answer_one(rma::RankCtx& ctx, const core::DistGraph& dg,
     for (const VertexId f : adj_v) work.emplace_back(lv, f);
 
     if (q.kind == QueryKind::Lcc) {
+      // One intersector per query pass: rows are rebuilt between epochs,
+      // so a Tiered row bitmap must not survive into the next one.
+      intersect::Intersector isect(cfg.method, cfg.intersect_tier, cfg.cost,
+                                   dg.partition.num_vertices());
       std::uint64_t tri = 0;
       pipeline.run_over(
           work, [&](VertexId, VertexId, std::span<const VertexId> av,
                     std::span<const VertexId> aj) {
-            tri += intersect::count_common(av, aj, cfg.method);
-            ctx.charge_compute(
-                cfg.cost.seconds(cfg.method, av.size(), aj.size()));
+            const auto out = isect.intersect(av, aj);
+            tri += out.common;
+            ctx.charge_compute(out.seconds);
           });
       a.lcc = graph::lcc_score(tri, static_cast<VertexId>(adj_v.size()));
       hot.insert_lcc(q.v, a.lcc);
@@ -179,8 +184,7 @@ ServeResult QueryEngine::run(std::span<const ServeEpoch> epochs,
   ATLC_CHECK(options_.partition != graph::PartitionKind::Grid2D,
              "serve: point queries fetch whole adjacency rows; Grid2D's "
              "segment ownership is not plumbed through the query kernels");
-  core::EngineConfig cfg = options_.engine;
-  cfg.upper_triangle_only = false;  // per-vertex analytics need full rows
+  const core::EngineConfig& cfg = options_.engine;
 
   const graph::Partition partition =
       graph::make_partition(g, options_.partition, ranks);

@@ -45,10 +45,8 @@ void IncrementalCounter::count(const EffectiveBatch& eff, Op which,
           out.per_vertex[w] += 2 * sign;
           out.distinct_triangles += sign;
         });
-        // The enumerating merge is an SSI walk; charge it as such (the
-        // same pricing rule the Adamic–Adar kernel uses).
-        ctx_->charge_compute(config_->cost.seconds(
-            intersect::Method::SSI, adj_a.size(), adj_b.size()));
+        ctx_->charge_compute(
+            config_->cost.seconds_enumerate(adj_a.size(), adj_b.size()));
       });
 }
 

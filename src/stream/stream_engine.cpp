@@ -19,8 +19,7 @@ StreamResult run_streaming_lcc(const graph::CSRGraph& g,
              "stream: the incremental counter routes per-vertex deltas to "
              "unique vertex owners; Grid2D's segment ownership is not "
              "plumbed through it yet (BatchApplier itself is segment-aware)");
-  core::EngineConfig cfg = options.engine;
-  cfg.upper_triangle_only = false;  // LCC needs full per-vertex counts
+  const core::EngineConfig& cfg = options.engine;
 
   const graph::Partition partition =
       graph::make_partition(g, options.partition, ranks);

@@ -204,14 +204,6 @@ TEST(Lcc, CirclesGraphAllModes) {
   }
 }
 
-TEST(Lcc, RejectsUpperTriangleConfig) {
-  testsupport::use_threadsafe_death_tests();
-  const CSRGraph g = paper_example();
-  EngineConfig cfg;
-  cfg.upper_triangle_only = true;
-  EXPECT_DEATH((void)run_distributed_lcc(g, 2, cfg), "upper");
-}
-
 // ------------------------------------------------------------- global TC ---
 
 TEST(Tc, UpperTriangleGlobalCountMatches) {

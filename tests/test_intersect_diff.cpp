@@ -1,7 +1,7 @@
 // Randomized differential harness for every intersection kernel tier
 // (ISSUE 6): binary, SSI, hybrid, branch-reduced merge, galloping search,
-// RowBitmap, for_each_common, count_common_above, and the TieredIntersector
-// dispatch are all cross-checked against a trivial std::set_intersection
+// RowBitmap, for_each_common, count_common_above, and the Intersector
+// dispatch (both tiers) are all cross-checked against a trivial std::set_intersection
 // oracle over >10k seeded pairs. Vectorized/block-skipping kernels break
 // silently on boundary lengths, so the sweep deliberately pins lengths
 // straddling SIMD-width boundaries (7,8,9, 15,16,17, 31,32,33) and the
@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "atlc/intersect/cost_model.hpp"
@@ -41,7 +42,7 @@ V random_sorted_unique(std::size_t len, VertexId universe, std::uint64_t seed) {
   return v;
 }
 
-/// Policies that pin the TieredIntersector to one kernel each, so the
+/// Policies that pin a Tiered Intersector to one kernel each, so the
 /// dispatcher's bookkeeping (bitmap builds/reuse, cost charging) is
 /// exercised on every pair regardless of shape.
 TierPolicy force_bitmap() { return {.bitmap_min_row = 0, .gallop_ratio = 1.0}; }
@@ -116,26 +117,46 @@ std::uint64_t check_pair(const V& a, const V& b, VertexId universe) {
     }
   }
 
-  // TieredIntersector pinned to each kernel in turn.
+  // Intersector under the Paper tier: count_common priced by
+  // CostModel::seconds, for every method.
   const CostModel cost;
+  for (auto m : {Method::Binary, Method::SSI, Method::Hybrid}) {
+    Intersector paper(m, Tier::Paper, cost, universe);
+    const auto out = paper.intersect(a, b);
+    expect(out.common, method_name(m));
+    checks += 2;
+    EXPECT_EQ(out.seconds, cost.seconds(m, a.size(), b.size()));
+    EXPECT_STREQ(out.event, "intersect");
+  }
+
+  // Intersector under the Tiered tier, pinned to each kernel in turn.
   const struct {
     TierPolicy policy;
-    TierKernel want;
-  } forced[] = {{force_bitmap(), TierKernel::Bitmap},
-                {force_gallop(), TierKernel::Gallop},
-                {force_merge(), TierKernel::MergeVec}};
+    const char* event;
+  } forced[] = {{force_bitmap(), "intersect_bitmap"},
+                {force_gallop(), "intersect_gallop"},
+                {force_merge(), "intersect_merge"}};
   for (const auto& f : forced) {
-    TieredIntersector ti(f.policy, cost, universe);
+    Intersector ti(Method::Hybrid, Tier::Tiered, cost, universe, f.policy);
     const auto out = ti.intersect(a, b);
-    expect(out.common, tier_kernel_name(f.want));
+    expect(out.common, f.event);
     ++checks;
     // An empty short side legitimately falls through Gallop to MergeVec.
-    if (f.want != TierKernel::Gallop || (!a.empty() && !b.empty()))
-      EXPECT_EQ(out.kernel, f.want)
-          << "dispatch picked " << tier_kernel_name(out.kernel);
+    if (std::string_view(f.event) != "intersect_gallop" ||
+        (!a.empty() && !b.empty()))
+      EXPECT_STREQ(out.event, f.event);
     ++checks;
     EXPECT_GE(out.seconds, 0.0);
   }
+  // The transient entry point never builds a bitmap: bitmap-shaped pairs
+  // gallop instead.
+  Intersector transient(Method::Hybrid, Tier::Tiered, cost, universe,
+                        force_bitmap());
+  const auto out = transient.intersect_transient(a, b);
+  expect(out.common, "transient");
+  ++checks;
+  EXPECT_STREQ(out.event, "intersect_gallop");
+  EXPECT_EQ(transient.bitmap_builds(), 0u);
   return checks;
 }
 
@@ -226,15 +247,16 @@ TEST(IntersectDiff, RandomSweep10k) {
 TEST(IntersectDiff, BitmapReusedAcrossSameRow) {
   const VertexId universe = 4096;
   const V row = random_sorted_unique(1024, universe, 11);
-  TieredIntersector ti(force_bitmap(), CostModel{}, universe);
+  Intersector ti(Method::Hybrid, Tier::Tiered, CostModel{}, universe,
+                 force_bitmap());
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     const V other = random_sorted_unique(64, universe, seed * 131);
     const auto out = ti.intersect(row, other);
     EXPECT_EQ(out.common, oracle(row, other).size());
+    EXPECT_STREQ(out.event, "intersect_bitmap");
   }
   // One build serves the whole run of edges on the same row span.
-  EXPECT_EQ(ti.stats().bitmap_builds, 1u);
-  EXPECT_EQ(ti.stats().bitmap_pairs, 8u);
+  EXPECT_EQ(ti.bitmap_builds(), 1u);
 }
 
 TEST(IntersectDiff, BitmapRebuildClearsStaleBits) {

@@ -2,6 +2,9 @@
 // Section VI future-work (ii) built on the same RMA+cache substrate as LCC).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "atlc/core/similarity.hpp"
 #include "atlc/graph/clean.hpp"
 #include "atlc/graph/generators.hpp"
@@ -43,32 +46,69 @@ TEST(Jaccard, StarGraphEndpointsShareNothing) {
   for (double j : r.score) EXPECT_DOUBLE_EQ(j, 0.0);
 }
 
-class JaccardRanks : public ::testing::TestWithParam<std::uint32_t> {};
+/// Rank counts × kernel generation. Jaccard and overlap count through the
+/// engine's Intersector, so both tiers must reproduce the references
+/// exactly; under Tiered the run must also be priced differently from
+/// Paper — proof that the configured tier is honoured, not ignored.
+class JaccardRanks : public ::testing::TestWithParam<
+                         std::tuple<std::uint32_t, intersect::Tier>> {
+ protected:
+  static std::uint32_t ranks() { return std::get<0>(GetParam()); }
+  static bool tiered() {
+    return std::get<1>(GetParam()) == intersect::Tier::Tiered;
+  }
+  static EngineConfig config() {
+    EngineConfig cfg;
+    cfg.intersect_tier = std::get<1>(GetParam());
+    return cfg;
+  }
+};
 
 TEST_P(JaccardRanks, MatchesReference) {
   const auto g = rmat_graph(8, 8, 21);
   const auto ref = reference_jaccard(g);
-  const auto r = run_distributed_jaccard(g, GetParam());
+  const auto r = run_distributed_jaccard(g, ranks(), config());
   ASSERT_EQ(r.score.size(), ref.size());
   for (std::size_t k = 0; k < ref.size(); ++k)
     ASSERT_DOUBLE_EQ(r.score[k], ref[k]) << "slot " << k;
+  if (tiered())
+    EXPECT_NE(r.run.makespan, run_distributed_jaccard(g, ranks()).run.makespan);
+}
+
+TEST_P(JaccardRanks, OverlapMatchesReference) {
+  const auto g = rmat_graph(8, 8, 25);
+  const auto ref = reference_overlap(g);
+  const auto r = run_distributed_overlap(g, ranks(), config());
+  ASSERT_EQ(r.score.size(), ref.size());
+  for (std::size_t k = 0; k < ref.size(); ++k)
+    ASSERT_DOUBLE_EQ(r.score[k], ref[k]) << "slot " << k;
+  if (tiered())
+    EXPECT_NE(r.run.makespan, run_distributed_overlap(g, ranks()).run.makespan);
 }
 
 TEST_P(JaccardRanks, MatchesReferenceCached) {
   const auto g = rmat_graph(8, 8, 22);
   const auto ref = reference_jaccard(g);
-  EngineConfig cfg;
+  EngineConfig cfg = config();
   cfg.use_cache = true;
   cfg.victim_policy = clampi::VictimPolicy::UserScore;
   cfg.cache_sizing =
       CacheSizing::paper_default(g.num_vertices(), g.csr_bytes() / 4);
-  const auto r = run_distributed_jaccard(g, GetParam(), cfg);
+  const auto r = run_distributed_jaccard(g, ranks(), cfg);
   for (std::size_t k = 0; k < ref.size(); ++k)
     ASSERT_DOUBLE_EQ(r.score[k], ref[k]) << "slot " << k;
-  if (GetParam() > 1) EXPECT_GT(r.adj_cache_total.accesses(), 0u);
+  if (ranks() > 1) EXPECT_GT(r.adj_cache_total.accesses(), 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Ranks, JaccardRanks, ::testing::Values(1u, 2u, 4u, 8u));
+INSTANTIATE_TEST_SUITE_P(
+    Ranks, JaccardRanks,
+    ::testing::Combine(::testing::Values(1u, 2u, 4u, 8u),
+                       ::testing::Values(intersect::Tier::Paper,
+                                         intersect::Tier::Tiered)),
+    [](const auto& info) {
+      return "ranks" + std::to_string(std::get<0>(info.param)) + "_" +
+             intersect::tier_name(std::get<1>(info.param));
+    });
 
 TEST(Jaccard, ValuesAreProbabilities) {
   const auto g = rmat_graph(9, 8, 23);

@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <cstdlib>
@@ -126,7 +127,7 @@ void expect_parity(const CSRGraph& g, const std::vector<ServeEpoch>& epochs,
 // ------------------------------------------------ 1. parity matrix ------
 
 /// Full sweep for one graph: rank counts × CLaMPI cache on/off × hot cache
-/// on/off × batch sizes (0 = pure-query epochs).
+/// on/off × kernel tier × batch sizes (0 = pure-query epochs).
 void sweep_graph(const CSRGraph& g, const char* name, std::uint64_t seed) {
   for (const std::size_t batch_size : {std::size_t{0}, std::size_t{24}}) {
     QueryWorkloadConfig wc;
@@ -140,21 +141,26 @@ void sweep_graph(const CSRGraph& g, const char* name, std::uint64_t seed) {
     for (const std::uint32_t ranks : kRankCounts) {
       for (const bool cached : {false, true}) {
         for (const bool hot : {false, true}) {
-          SCOPED_TRACE(::testing::Message()
-                       << name << " bs=" << batch_size << " ranks=" << ranks
-                       << " cached=" << cached << " hot=" << hot);
-          ServeOptions opts;
-          if (cached) {
-            opts.engine.use_cache = true;
-            opts.engine.cache_sizing = core::CacheSizing::paper_default(
-                g.num_vertices(), 1 << 18);
-          }
-          if (hot) opts.hot_cache.entries = 64;
-          ServeResult res;
-          expect_parity(g, epochs, ranks, opts, &res);
-          if (hot && batch_size == 0) {
-            // Zipf-head repeats with no invalidation pressure must hit.
-            EXPECT_GT(res.hot_cache_total.hits, 0u);
+          for (const intersect::Tier tier :
+               {intersect::Tier::Paper, intersect::Tier::Tiered}) {
+            SCOPED_TRACE(::testing::Message()
+                         << name << " bs=" << batch_size << " ranks="
+                         << ranks << " cached=" << cached << " hot=" << hot
+                         << " tier=" << intersect::tier_name(tier));
+            ServeOptions opts;
+            opts.engine.intersect_tier = tier;
+            if (cached) {
+              opts.engine.use_cache = true;
+              opts.engine.cache_sizing = core::CacheSizing::paper_default(
+                  g.num_vertices(), 1 << 18);
+            }
+            if (hot) opts.hot_cache.entries = 64;
+            ServeResult res;
+            expect_parity(g, epochs, ranks, opts, &res);
+            if (hot && batch_size == 0) {
+              // Zipf-head repeats with no invalidation pressure must hit.
+              EXPECT_GT(res.hot_cache_total.hits, 0u);
+            }
           }
         }
       }
@@ -238,6 +244,47 @@ TEST(ServeParityMatrix, DeletionsAndVanishingNeighborhoods) {
     ServeOptions opts;
     opts.hot_cache.entries = 32;
     SCOPED_TRACE(::testing::Message() << "ranks=" << ranks);
+    expect_parity(g, epochs, ranks, opts);
+  }
+}
+
+TEST(ServeParityMatrix, TieredHubRowRebuiltEveryEpoch) {
+  // Bitmap-lifetime rule (DESIGN.md §9): under Tier::Tiered an `lcc(v)`
+  // query on a row of at least TierPolicy{}.bitmap_min_row entries runs on
+  // a bitmap keyed by the row's span identity. Every batch swaps one hub
+  // neighbor for a new one on the same side of the hub, so the hub row
+  // keeps both its length and its offset in the rebuilt local CSR. The
+  // rebuilds soon alternate between two buffers, so the hub is queried
+  // only in odd epochs: a bitmap kept across batch applies then meets a
+  // row at the address it was built from, with different contents (with
+  // glibc this case fails if the intersector is kept for the whole run).
+  using graph::VertexId;
+  const CSRGraph g = rmat_graph(10, 16, 31 + serve_seed());
+  VertexId hub = 0;
+  for (VertexId v = 1; v < g.num_vertices(); ++v)
+    if (g.degree(v) > g.degree(hub)) hub = v;
+  ASSERT_GE(g.degree(hub), intersect::TierPolicy{}.bitmap_min_row);
+  const auto adj = g.neighbors(hub);
+  std::vector<VertexId> olds[2], news[2];  // [0]: ids below the hub
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    if (v == hub) continue;
+    const bool adjacent = std::binary_search(adj.begin(), adj.end(), v);
+    (adjacent ? olds : news)[v > hub].push_back(v);
+  }
+  const int side = std::min(olds[0].size(), news[0].size()) >= 8 ? 0 : 1;
+  ASSERT_GE(std::min(olds[side].size(), news[side].size()), 8u);
+
+  std::vector<ServeEpoch> epochs(9);
+  for (std::size_t e = 0; e < epochs.size(); ++e) {
+    if (e % 2 == 1) epochs[e].queries.push_back({QueryKind::Lcc, hub, 0});
+    if (e + 1 == epochs.size()) break;
+    epochs[e].updates.push_back({hub, olds[side][e], stream::Op::Delete});
+    epochs[e].updates.push_back({hub, news[side][e], stream::Op::Insert});
+  }
+  for (const std::uint32_t ranks : {1u, 4u}) {
+    SCOPED_TRACE(::testing::Message() << "ranks=" << ranks);
+    ServeOptions opts;
+    opts.engine.intersect_tier = intersect::Tier::Tiered;
     expect_parity(g, epochs, ranks, opts);
   }
 }

@@ -27,6 +27,7 @@
 #include "atlc/graph/generators.hpp"
 #include "atlc/graph/io.hpp"
 #include "atlc/ingest/snapshot.hpp"
+#include "atlc/intersect/intersect.hpp"
 #include "atlc/obs/trace.hpp"
 #include "atlc/stream/stream_engine.hpp"
 #include "atlc/util/cli.hpp"
@@ -56,13 +57,11 @@ std::unique_ptr<std::FILE, FileCloser> open_out(const std::string& path) {
 }
 
 core::EngineConfig engine_config(const util::Cli& cli,
-                                 const graph::CSRGraph& g) {
+                                 const graph::CSRGraph& g,
+                                 intersect::Method method) {
   core::EngineConfig cfg;
   cfg.cost = intersect::CostModel::calibrate();
-  const std::string& method = cli.get_string("method");
-  cfg.method = method == "ssi"      ? intersect::Method::SSI
-               : method == "binary" ? intersect::Method::Binary
-                                    : intersect::Method::Hybrid;
+  cfg.method = method;
   cfg.pipeline_depth = static_cast<std::size_t>(
       std::max<std::int64_t>(1, cli.get_int("pipeline-depth")));
   cfg.hub_fraction = cli.get_double("hub-frac");
@@ -177,6 +176,20 @@ int main(int argc, char** argv) {
   cli.add_double("stream-insert-frac",
                  "fraction of streamed updates that are insertions", 0.7);
   if (!cli.parse(argc, argv)) return 1;
+  // Enum-valued flags are checked before any graph work.
+  const auto method = intersect::parse_method(cli.get_string("method"));
+  if (!method) {
+    std::fprintf(stderr,
+                 "atlc_run: unknown --method '%s' (hybrid | ssi | binary)\n",
+                 cli.get_string("method").c_str());
+    return 1;
+  }
+  if (const std::string& scores = cli.get_string("scores");
+      scores != "clampi" && scores != "degree") {
+    std::fprintf(stderr, "atlc_run: unknown --scores '%s' (clampi | degree)\n",
+                 scores.c_str());
+    return 1;
+  }
 
   // --- load or generate the graph, then clean it (paper Sec. II-B).
   util::Timer load_timer;
@@ -250,7 +263,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   const graph::PartitionKind partition = *parsed_partition;
-  auto cfg = engine_config(cli, g);
+  auto cfg = engine_config(cli, g, *method);
   // Tracing is wired only when requested: a null EngineConfig::trace keeps
   // every hook down to a single pointer test, so untraced runs stay
   // bit-identical to pre-obs builds.
