@@ -13,8 +13,9 @@ namespace atlc::util {
 ///
 /// Accepted syntax: `--name=value`, `--name value`, and bare `--flag`
 /// (boolean true). Unknown flags are an error so typos in sweep scripts
-/// fail loudly. All bench binaries must run with zero arguments, so every
-/// flag carries a default.
+/// fail loudly, and so does an int/float value that does not parse whole
+/// ("8x", "abc"): `<prog>: bad value for --name`. All bench binaries must
+/// run with zero arguments, so every flag carries a default.
 class Cli {
  public:
   Cli(std::string program, std::string description)

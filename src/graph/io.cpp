@@ -134,7 +134,7 @@ EdgeList load_binary_edges(const std::string& path) {
       throw std::runtime_error(
           "atlc: this is a v2 partition-sliced snapshot, not a v1 binary "
           "edge list — open it with ingest::SnapshotReader (atlc_run "
-          "--snapshot): " + path);
+          "--input): " + path);
     throw std::runtime_error(
         "atlc: unsupported binary edge-list version " +
         std::to_string(header[1]) + " (expected " + std::to_string(kVersion) +

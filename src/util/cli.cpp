@@ -1,10 +1,23 @@
 #include "atlc/util/cli.hpp"
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
+#include <system_error>
 
 namespace atlc::util {
+
+namespace {
+
+/// Whole-string numeric parse: "8x", "abc" and "" are errors, not 8 / 0.
+template <typename T>
+bool parse_number(std::string_view text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc() && ptr == end;
+}
+
+}  // namespace
 
 void Cli::add_flag(std::string name, std::string help, bool default_value) {
   entries_[std::move(name)] =
@@ -33,6 +46,15 @@ bool Cli::set(const std::string& name, std::string_view value) {
   if (it == entries_.end()) {
     std::fprintf(stderr, "%s: unknown flag --%s\n", program_.c_str(),
                  name.c_str());
+    return false;
+  }
+  std::int64_t i = 0;
+  double d = 0.0;
+  const Kind kind = it->second.kind;
+  if ((kind == Kind::Int && !parse_number(value, i)) ||
+      (kind == Kind::Double && !parse_number(value, d))) {
+    std::fprintf(stderr, "%s: bad value for --%s: '%.*s'\n", program_.c_str(),
+                 name.c_str(), static_cast<int>(value.size()), value.data());
     return false;
   }
   it->second.value = value;
@@ -96,11 +118,15 @@ bool Cli::get_flag(std::string_view name) const {
 }
 
 std::int64_t Cli::get_int(std::string_view name) const {
-  return std::strtoll(find(name, Kind::Int).value.c_str(), nullptr, 10);
+  std::int64_t v = 0;
+  (void)parse_number(find(name, Kind::Int).value, v);  // checked by set()
+  return v;
 }
 
 double Cli::get_double(std::string_view name) const {
-  return std::strtod(find(name, Kind::Double).value.c_str(), nullptr);
+  double v = 0.0;
+  (void)parse_number(find(name, Kind::Double).value, v);  // checked by set()
+  return v;
 }
 
 const std::string& Cli::get_string(std::string_view name) const {

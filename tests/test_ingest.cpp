@@ -579,12 +579,13 @@ TEST_F(SnapshotCorruption, VersionSniffingAndBackCompat) {
     EXPECT_NE(std::string(ex.what()).find("v1"), std::string::npos);
   }
 
-  // A v2 file handed to the v1 loader points at --snapshot.
+  // A v2 file handed to the v1 loader points at atlc_run --input.
   try {
     (void)graph::load_binary_edges(snap_);
     FAIL() << "v2 snapshot accepted as v1 edge list";
   } catch (const std::runtime_error& ex) {
-    EXPECT_NE(std::string(ex.what()).find("--snapshot"), std::string::npos);
+    EXPECT_NE(std::string(ex.what()).find("atlc_run --input"),
+              std::string::npos);
   }
 
   // v1 loading still works, with and without format sniffing.

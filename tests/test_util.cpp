@@ -273,7 +273,7 @@ TEST(Recorder, HonorsMaxReps) {
   int calls = 0;
   (void)rec.run_until_ci([&] {
     volatile double x = 0;
-    for (int i = 0; i < (calls % 2 ? 100000 : 10); ++i) x += i;
+    for (int i = 0; i < (calls % 2 ? 100000 : 10); ++i) x = x + i;
     ++calls;
   });
   EXPECT_EQ(rec.samples().size(), 7u);
@@ -416,6 +416,25 @@ TEST(Cli, NegativeIntAndDoubleValues) {
   EXPECT_DOUBLE_EQ(cli.get_double("x"), -0.25);
 }
 
+TEST(Cli, RejectsMalformedNumbers) {
+  for (const char* bad : {"--n=abc", "--n=8x", "--n=", "--n=1.5", "--x=foo",
+                          "--x=0.5s"}) {
+    Cli cli("prog", "test");
+    cli.add_int("n", "count", 7);
+    cli.add_double("x", "factor", 0.25);
+    char a0[] = "prog";
+    std::string arg = bad;
+    char* argv[] = {a0, arg.data()};
+    ::testing::internal::CaptureStderr();
+    EXPECT_FALSE(cli.parse(2, argv)) << bad;
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("prog: bad value for --"), std::string::npos) << err;
+    // A rejected value leaves the default (written by std::to_string) intact.
+    EXPECT_EQ(cli.get_int("n"), 7);
+    EXPECT_DOUBLE_EQ(cli.get_double("x"), 0.25);
+  }
+}
+
 // ---------------------------------------------------------------- table ---
 
 TEST(Table, RendersHeaderAndRows) {
@@ -494,7 +513,7 @@ TEST(Table, RenderedCellsRoundTrip) {
 TEST(Timer, MeasuresSomethingPositive) {
   Timer t;
   volatile double x = 0;
-  for (int i = 0; i < 10000; ++i) x += i;
+  for (int i = 0; i < 10000; ++i) x = x + i;
   EXPECT_GT(t.elapsed_ns(), 0u);
   EXPECT_GE(t.elapsed_us(), 0.0);
 }

@@ -2,67 +2,31 @@
 // text or v1 binary edge list through chunked parallel parse, fused
 // clean/sort/dedup/relabel (spilling sorted runs to disk under
 // --mem-budget), and write a v2 partition-sliced snapshot whose slice index
-// lets `atlc_run --snapshot` seek-read each rank's CSR slice.
+// lets `atlc_run --input` seek-read each rank's CSR slice.
 //
 //   atlc_ingest --input orkut.txt --output orkut.v2 --ranks 16
 //   atlc_ingest --input snap.bin --output snap.v2 --mem-budget-mb 64
-//   atlc_run --snapshot orkut.v2 --algo lcc --ranks 16
+//   atlc_run --input orkut.v2 --algo lcc --ranks 16
 //
 // The snapshot payload is bit-identical to load_edges() + graph::clean()
 // with the matching seed, for any --threads/--chunk-mb/--mem-budget-mb.
+// Flag checks and the exit path are the shared front end (front_end.hpp);
+// the ingest report is this tool's own.
 #include <cstdio>
-#include <exception>
+#include <stdexcept>
 #include <string>
 
 #include "atlc/ingest/pipeline.hpp"
-#include "atlc/obs/trace.hpp"
-#include "atlc/util/cli.hpp"
+#include "front_end.hpp"
 
-int main(int argc, char** argv) {
-  using namespace atlc;
-  util::Cli cli("atlc_ingest",
-                "out-of-core edge-list ingest -> v2 partition-sliced "
-                "snapshot");
-  cli.add_string("input", "SNAP text or ATLC v1 binary edge list", "");
-  cli.add_string("output", "snapshot path to write", "");
-  cli.add_int("ranks", "rank count the slice index is built for", 8);
-  cli.add_flag("directed", "treat text input as directed (binary input "
-               "records its own directedness)", false);
-  cli.add_int("threads", "parse/sort threads (0 = OpenMP default)", 0);
-  cli.add_double("chunk-mb", "target text read-window size in MiB", 8.0);
-  cli.add_double("mem-budget-mb",
-                 "spill sorted runs to disk past this many MiB per sort "
-                 "stage (0 = fully in memory)",
-                 0.0);
-  cli.add_string("relabel", "random | degree | none", "random");
-  cli.add_int("seed", "relabeling seed (random mode)", 1);
-  cli.add_flag("keep-low-degree",
-               "keep degree<2 vertices (skip the clean() low-degree pass)",
-               false);
-  cli.add_string("tmp-dir", "directory for spill files ('' = alongside "
-                 "the output)", "");
-  cli.add_string("trace",
-                 "write a Chrome trace-event JSON of the pipeline's stage "
-                 "spans (wall clock; not deterministic) to this path",
-                 "");
-  if (!cli.parse(argc, argv)) return 1;
+namespace {
 
-  if (cli.get_string("input").empty() || cli.get_string("output").empty()) {
-    std::fprintf(stderr, "atlc_ingest: --input and --output are required\n");
-    return 1;
-  }
+using namespace atlc;
 
+int run(const util::Cli& cli) {
+  if (cli.get_string("input").empty() || cli.get_string("output").empty())
+    throw std::invalid_argument("--input and --output are required");
   ingest::IngestOptions opt;
-  opt.chunk_bytes = static_cast<std::size_t>(
-      cli.get_double("chunk-mb") * 1024.0 * 1024.0);
-  if (opt.chunk_bytes == 0) opt.chunk_bytes = 1;
-  opt.num_threads = static_cast<int>(cli.get_int("threads"));
-  opt.mem_budget_bytes = static_cast<std::uint64_t>(
-      cli.get_double("mem-budget-mb") * 1024.0 * 1024.0);
-  opt.ranks = static_cast<std::uint32_t>(cli.get_int("ranks"));
-  opt.directedness = cli.get_flag("directed")
-                         ? graph::Directedness::Directed
-                         : graph::Directedness::Undirected;
   const std::string& relabel = cli.get_string("relabel");
   if (relabel == "random") {
     opt.relabel = ingest::RelabelMode::Random;
@@ -71,12 +35,20 @@ int main(int argc, char** argv) {
   } else if (relabel == "none") {
     opt.relabel = ingest::RelabelMode::None;
   } else {
-    std::fprintf(stderr,
-                 "atlc_ingest: unknown --relabel '%s' (random | degree | "
-                 "none)\n",
-                 relabel.c_str());
-    return 1;
+    throw std::invalid_argument("unknown --relabel '" + relabel +
+                                "' (random | degree | none)");
   }
+  opt.ranks = static_cast<std::uint32_t>(
+      tools::int_flag(cli, "ranks", 1, tools::kMaxRanks));
+  opt.chunk_bytes = static_cast<std::size_t>(
+      cli.get_double("chunk-mb") * 1024.0 * 1024.0);
+  if (opt.chunk_bytes == 0) opt.chunk_bytes = 1;
+  opt.num_threads = static_cast<int>(cli.get_int("threads"));
+  opt.mem_budget_bytes = static_cast<std::uint64_t>(
+      cli.get_double("mem-budget-mb") * 1024.0 * 1024.0);
+  opt.directedness = cli.get_flag("directed")
+                         ? graph::Directedness::Directed
+                         : graph::Directedness::Undirected;
   opt.relabel_seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   if (opt.relabel == ingest::RelabelMode::Random && opt.relabel_seed == 0)
     opt.relabel = ingest::RelabelMode::None;  // clean()'s seed-0 convention
@@ -89,23 +61,9 @@ int main(int argc, char** argv) {
   const std::string& trace_path = cli.get_string("trace");
   if (!trace_path.empty()) opt.trace = &trace;
 
-  ingest::IngestReport rep;
-  try {
-    rep = ingest::run_ingest(cli.get_string("input"),
-                             cli.get_string("output"), opt);
-  } catch (const std::exception& ex) {
-    std::fprintf(stderr, "atlc_ingest: %s\n", ex.what());
-    return 1;
-  }
-  if (!trace_path.empty()) {
-    if (!trace.write_chrome_trace(trace_path)) {
-      std::fprintf(stderr, "atlc_ingest: cannot write %s\n",
-                   trace_path.c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "# trace: %zu events -> %s\n", trace.total_events(),
-                 trace_path.c_str());
-  }
+  const ingest::IngestReport rep = ingest::run_ingest(
+      cli.get_string("input"), cli.get_string("output"), opt);
+  if (!trace_path.empty()) tools::write_trace(trace, trace_path);
 
   const double mb = 1024.0 * 1024.0;
   std::fprintf(stderr,
@@ -143,4 +101,36 @@ int main(int argc, char** argv) {
                    : 0.0,
                static_cast<double>(rep.peak_rss_bytes) / mb);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  util::Cli cli("atlc_ingest",
+                "out-of-core edge-list ingest -> v2 partition-sliced "
+                "snapshot");
+  cli.add_string("input", "SNAP text or ATLC v1 binary edge list", "");
+  cli.add_string("output", "snapshot path to write", "");
+  cli.add_int("ranks", "rank count the slice index is built for", 8);
+  cli.add_flag("directed", "treat text input as directed (binary input "
+               "records its own directedness)", false);
+  cli.add_int("threads", "parse/sort threads (0 = OpenMP default)", 0);
+  cli.add_double("chunk-mb", "target text read-window size in MiB", 8.0);
+  cli.add_double("mem-budget-mb",
+                 "spill sorted runs to disk past this many MiB per sort "
+                 "stage (0 = fully in memory)",
+                 0.0);
+  cli.add_string("relabel", "random | degree | none", "random");
+  cli.add_int("seed", "relabeling seed (random mode)", 1);
+  cli.add_flag("keep-low-degree",
+               "keep degree<2 vertices (skip the clean() low-degree pass)",
+               false);
+  cli.add_string("tmp-dir", "directory for spill files ('' = alongside "
+                 "the output)", "");
+  cli.add_string("trace",
+                 "write a Chrome trace-event JSON of the pipeline's stage "
+                 "spans (wall clock; not deterministic) to this path",
+                 "");
+  if (!cli.parse(argc, argv)) return 1;
+  return tools::run_tool("atlc_ingest", [&] { return run(cli); });
 }

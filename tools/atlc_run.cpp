@@ -10,30 +10,24 @@
 //   atlc_run --input graph.txt --algo adamic-adar --cache --scores degree
 //   atlc_run --input graph.txt --stream-batches 8 --batch-size 1024 --cache
 //   atlc_run --input snap.txt --convert snap.bin   # binary snapshot, exit
-//   atlc_run --snapshot graph.v2 --algo lcc        # atlc_ingest output;
+//   atlc_run --input graph.v2 --algo lcc           # atlc_ingest output;
 //     skips clean/relabel and seek-reads each rank's CSR slice out of core
+//
+// The graph input, engine flags, stats document and exit path are the
+// shared front end (front_end.hpp).
 #include <algorithm>
 #include <cstdio>
-#include <exception>
 #include <memory>
+#include <stdexcept>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "atlc/core/lcc.hpp"
 #include "atlc/core/similarity.hpp"
-#include "atlc/graph/clean.hpp"
-#include "atlc/graph/degree_stats.hpp"
-#include "atlc/graph/generators.hpp"
 #include "atlc/graph/io.hpp"
-#include "atlc/ingest/snapshot.hpp"
 #include "atlc/intersect/intersect.hpp"
-#include "atlc/obs/trace.hpp"
 #include "atlc/stream/stream_engine.hpp"
-#include "atlc/util/cli.hpp"
-#include "atlc/util/json.hpp"
-#include "atlc/util/recorder.hpp"
 #include "atlc/util/timer.hpp"
+#include "front_end.hpp"
 
 namespace {
 
@@ -41,317 +35,102 @@ using namespace atlc;
 
 struct FileCloser {
   void operator()(std::FILE* f) const {
-    if (f && f != stdout) std::fclose(f);
+    if (f != stdout) std::fclose(f);
   }
 };
 
-std::unique_ptr<std::FILE, FileCloser> open_out(const std::string& path) {
-  if (path.empty() || path == "-")
-    return std::unique_ptr<std::FILE, FileCloser>(stdout);
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "atlc_run: cannot open %s\n", path.c_str());
-    std::exit(1);
-  }
-  return std::unique_ptr<std::FILE, FileCloser>(f);
-}
+// The per-edge similarity analytics share one signature, slot layout and
+// stats block: --algo selects the function, one path emits the result.
+using SimilarityFn = core::SimilarityResult (*)(
+    const graph::CSRGraph&, std::uint32_t, const core::EngineConfig&,
+    const rma::NetworkModel&, graph::PartitionKind);
 
-core::EngineConfig engine_config(const util::Cli& cli,
-                                 const graph::CSRGraph& g,
-                                 intersect::Method method) {
-  core::EngineConfig cfg;
-  cfg.cost = intersect::CostModel::calibrate();
-  cfg.method = method;
-  cfg.pipeline_depth = static_cast<std::size_t>(
-      std::max<std::int64_t>(1, cli.get_int("pipeline-depth")));
-  cfg.hub_fraction = cli.get_double("hub-frac");
-  if (cli.get_flag("cache")) {
-    cfg.use_cache = true;
-    cfg.cache_sizing = core::CacheSizing::paper_default(
-        g.num_vertices(),
-        static_cast<std::uint64_t>(cli.get_double("cache-frac") *
-                                   static_cast<double>(g.csr_bytes())));
-    cfg.victim_policy = cli.get_string("scores") == "degree"
-                            ? clampi::VictimPolicy::UserScore
-                            : clampi::VictimPolicy::LruPositional;
-    cfg.cache_adaptive = cli.get_flag("adaptive");
-  }
-  return cfg;
-}
-
-/// --stats-json: the run's aggregate CommStats/CacheStats/makespan as one
-/// JSON document, for one-off runs without the bench harness.
-bool write_stats_json(const std::string& path, const std::string& algo,
-                      const core::EdgeAnalyticStats& stats) {
-  const rma::Runtime::Result& run = stats.run;
-  util::Json doc = util::Json::object();
-  doc["algo"] = algo;
-  doc["ranks"] = run.stats.size();
-  doc["makespan_s"] = run.makespan;
-  doc["wall_seconds"] = run.wall_seconds;
-  doc["comm_total"] = util::to_json(run.total());
-  util::Json per_rank = util::Json::array();
-  for (const auto& s : run.stats) per_rank.push_back(util::to_json(s));
-  doc["comm_per_rank"] = std::move(per_rank);
-  util::Json clocks = util::Json::array();
-  for (const double c : run.clocks) clocks.push_back(c);
-  doc["clocks"] = std::move(clocks);
-  doc["offsets_cache"] = util::to_json(stats.offsets_cache_total);
-  doc["adj_cache"] = util::to_json(stats.adj_cache_total);
-  doc["peak_rss_bytes"] = util::peak_rss_bytes();
-  return util::write_json_file(path, doc);
-}
-
-void print_run_summary(const core::EdgeAnalyticStats& stats) {
-  const rma::Runtime::Result& run = stats.run;
-  const auto total = run.total();
-  std::fprintf(stderr,
-               "# makespan %.4f s (virtual) | wall %.2f s | remote gets "
-               "%llu | comm %.3f s | compute %.3f s | cache hits %.1f%%\n",
-               run.makespan, run.wall_seconds,
-               static_cast<unsigned long long>(total.remote_gets),
-               total.comm_seconds, total.compute_seconds,
-               100.0 * stats.adj_cache_total.hit_rate());
-  if (total.hub_local_hits > 0)
-    std::fprintf(stderr, "# hub replica served %llu fetches locally\n",
-                 static_cast<unsigned long long>(total.hub_local_hits));
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  util::Cli cli("atlc_run",
-                "distributed LCC / TC / Jaccard on an edge list or R-MAT");
-  cli.add_string("input", "SNAP-format edge list ('' = generate R-MAT)", "");
-  cli.add_string("snapshot",
-                 "v2 partition-sliced snapshot (atlc_ingest output): the "
-                 "payload is already cleaned/relabeled, so --seed cleaning "
-                 "is skipped and each rank's CSR slice is seek-read from "
-                 "the file",
-                 "");
-  cli.add_flag("directed", "treat the input as directed", false);
-  cli.add_int("rmat-scale", "R-MAT scale when generating", 13);
-  cli.add_int("rmat-ef", "R-MAT edge factor when generating", 16);
-  cli.add_int("seed", "generator / relabeling seed", 1);
-  cli.add_string("algo", "lcc | tc | jaccard | overlap | adamic-adar", "lcc");
-  cli.add_int("ranks", "simulated compute nodes", 8);
-  cli.add_string("partition", "block | cyclic | degree1d | grid2d", "block");
-  cli.add_double("hub-frac",
-                 "replicate the adjacency of this fraction of the "
-                 "highest-degree vertices on every rank (0 = off)",
-                 0.0);
-  cli.add_string("method", "hybrid | ssi | binary", "hybrid");
-  cli.add_int("pipeline-depth",
-              "prefetch pipeline depth k (2 = paper double buffering, "
-              "1 = no overlap)",
-              2);
-  cli.add_flag("cache", "enable CLaMPI-style RMA caching", false);
-  cli.add_double("cache-frac", "cache budget as fraction of CSR bytes", 0.5);
-  cli.add_string("scores", "clampi | degree (victim-selection scores)",
-                 "degree");
-  cli.add_flag("adaptive", "enable adaptive hash resizing", false);
-  cli.add_string("trace",
-                 "write a Chrome trace-event JSON (Perfetto-loadable) of "
-                 "the run's virtual-time spans to this path",
-                 "");
-  cli.add_flag("trace-wall",
-               "stamp trace events with wall-clock time too (machine-"
-               "dependent: forfeits byte-identical traces)",
-               false);
-  cli.add_string("stats-json",
-                 "write aggregated CommStats/CacheStats/makespan JSON to "
-                 "this path",
-                 "");
-  cli.add_string("out", "output CSV path ('-' = stdout)", "-");
-  cli.add_flag("stats-only", "skip the per-item CSV body", false);
-  cli.add_string("convert",
-                 "snapshot the loaded edge list to this binary file and "
-                 "exit (skips the 6x text-parse cost on later runs)",
-                 "");
-  cli.add_int("stream-batches",
-              "apply this many update batches with the incremental "
-              "streaming engine (0 = static run)",
-              0);
-  cli.add_int("batch-size", "updates per streaming batch", 256);
-  cli.add_double("stream-insert-frac",
-                 "fraction of streamed updates that are insertions", 0.7);
-  if (!cli.parse(argc, argv)) return 1;
-  // Enum-valued flags are checked before any graph work.
-  const auto method = intersect::parse_method(cli.get_string("method"));
-  if (!method) {
-    std::fprintf(stderr,
-                 "atlc_run: unknown --method '%s' (hybrid | ssi | binary)\n",
-                 cli.get_string("method").c_str());
-    return 1;
-  }
-  if (const std::string& scores = cli.get_string("scores");
-      scores != "clampi" && scores != "degree") {
-    std::fprintf(stderr, "atlc_run: unknown --scores '%s' (clampi | degree)\n",
-                 scores.c_str());
-    return 1;
-  }
-
-  // --- load or generate the graph, then clean it (paper Sec. II-B).
-  util::Timer load_timer;
-  graph::EdgeList edges;
-  auto dir = cli.get_flag("directed") ? graph::Directedness::Directed
-                                      : graph::Directedness::Undirected;
-  std::unique_ptr<ingest::SnapshotReader> snap;
-  if (!cli.get_string("snapshot").empty()) {
-    if (!cli.get_string("input").empty()) {
-      std::fprintf(stderr,
-                   "atlc_run: --snapshot and --input are mutually "
-                   "exclusive\n");
-      return 1;
-    }
-    if (!cli.get_string("convert").empty()) {
-      std::fprintf(stderr,
-                   "atlc_run: --convert does not apply to --snapshot input "
-                   "(a snapshot is already binary)\n");
-      return 1;
-    }
-    try {
-      snap = std::make_unique<ingest::SnapshotReader>(
-          cli.get_string("snapshot"));
-      edges = snap->read_all();
-    } catch (const std::exception& ex) {
-      std::fprintf(stderr, "atlc_run: %s\n", ex.what());
-      return 1;
-    }
-    dir = edges.directedness();
-  } else if (!cli.get_string("input").empty()) {
-    // Format-sniffing load: SNAP text or an ATLC binary snapshot.
-    edges = graph::load_edges(cli.get_string("input"), dir);
-  } else {
-    edges = graph::generate_rmat(
-        {.scale = static_cast<unsigned>(cli.get_int("rmat-scale")),
-         .edge_factor = static_cast<unsigned>(cli.get_int("rmat-ef")),
-         .seed = static_cast<std::uint64_t>(cli.get_int("seed")),
-         .directedness = dir});
-  }
-  if (!cli.get_string("convert").empty()) {
-    // Snapshot the edge list as loaded (pre-clean, so the binary is an
-    // exact stand-in for the original input on any later invocation).
-    graph::save_binary_edges(edges, cli.get_string("convert"));
-    std::fprintf(stderr, "# wrote %zu edges to %s (binary, %.1f s total)\n",
-                 edges.num_edges(), cli.get_string("convert").c_str(),
-                 load_timer.elapsed_s());
-    return 0;
-  }
-  // A v2 snapshot already went through the fused clean/relabel in
-  // atlc_ingest; cleaning again would re-permute the ids.
-  if (!snap)
-    graph::clean(edges, {.relabel_seed = static_cast<std::uint64_t>(
-                             cli.get_int("seed"))});
-  const auto g = graph::CSRGraph::from_edges(edges);
-  const auto deg = graph::degree_stats(g);
-  std::fprintf(stderr,
-               "# graph: %u vertices, %llu edge slots, max deg %u, "
-               "gini %.2f (loaded in %.1f s)\n",
-               g.num_vertices(),
-               static_cast<unsigned long long>(g.num_edges()), deg.max,
-               deg.gini, load_timer.elapsed_s());
-
-  const auto ranks = static_cast<std::uint32_t>(cli.get_int("ranks"));
-  const std::string& part_name = cli.get_string("partition");
-  const auto parsed_partition = graph::parse_partition_kind(part_name);
-  if (!parsed_partition) {
-    std::fprintf(stderr,
-                 "atlc_run: unknown --partition '%s' (block | cyclic | "
-                 "degree1d | grid2d)\n",
-                 part_name.c_str());
-    return 1;
-  }
-  const graph::PartitionKind partition = *parsed_partition;
-  auto cfg = engine_config(cli, g, *method);
-  // Tracing is wired only when requested: a null EngineConfig::trace keeps
-  // every hook down to a single pointer test, so untraced runs stay
-  // bit-identical to pre-obs builds.
-  obs::TraceCollector trace;
-  trace.capture_wall = cli.get_flag("trace-wall");
-  const std::string& trace_path = cli.get_string("trace");
-  const std::string& stats_path = cli.get_string("stats-json");
-  if (!trace_path.empty()) cfg.trace = &trace;
-  if (snap) {
-    // Out-of-core build: the static engine seek-reads each rank's slice
-    // from the snapshot's extent index. The streaming engine rebuilds rows
-    // in memory as updates land, so its graph builds stay in-memory; a
-    // rank-count mismatch falls back too (the slice index is per-rank).
-    if (cli.get_int("stream-batches") > 0) {
-      std::fprintf(stderr,
-                   "# snapshot slices unused by the streaming engine "
-                   "(updates rebuild rows in memory)\n");
-    } else if (snap->ranks() != ranks) {
-      std::fprintf(stderr,
-                   "# snapshot slice index was built for %u ranks, run uses "
-                   "%u: falling back to in-memory slicing\n",
-                   snap->ranks(), ranks);
-    } else {
-      cfg.slice_source = snap.get();
-    }
-  }
-  auto out = open_out(cli.get_string("out"));
-
+int run(const util::Cli& cli) {
+  // Every enum-valued and range flag is checked before any graph work.
   const std::string& algo = cli.get_string("algo");
-  // Shared artifact emission for every engine path (stream / lcc / tc /
-  // similarity): the Chrome trace and the --stats-json document.
-  const auto emit_artifacts = [&](const core::EdgeAnalyticStats& stats) {
-    if (!trace_path.empty()) {
-      if (!trace.write_chrome_trace(trace_path)) {
-        std::fprintf(stderr, "atlc_run: cannot write %s\n",
-                     trace_path.c_str());
-        std::exit(1);
-      }
-      std::fprintf(stderr, "# trace: %zu events -> %s\n",
-                   trace.total_events(), trace_path.c_str());
-    }
-    if (!stats_path.empty()) {
-      if (!write_stats_json(stats_path, algo, stats)) {
-        std::fprintf(stderr, "atlc_run: cannot write %s\n",
-                     stats_path.c_str());
-        std::exit(1);
-      }
-    }
-  };
-  // The per-edge similarity analytics share one signature, slot layout and
-  // stats block: --algo selects the function, one path emits the result.
-  using SimilarityFn = core::SimilarityResult (*)(
-      const graph::CSRGraph&, std::uint32_t, const core::EngineConfig&,
-      const rma::NetworkModel&, graph::PartitionKind);
   const SimilarityFn similarity =
       algo == "jaccard"       ? core::run_distributed_jaccard
       : algo == "overlap"     ? core::run_distributed_overlap
       : algo == "adamic-adar" ? core::run_distributed_adamic_adar
                               : nullptr;
-  // Friendly rejections for the 2D partition: the incremental stream
-  // counter and the per-edge similarity analytics are 1D-only (the library
-  // would abort on the same conditions via ATLC_CHECK).
-  if (partition == graph::PartitionKind::Grid2D &&
-      cli.get_int("stream-batches") > 0) {
-    std::fprintf(stderr,
-                 "atlc_run: --partition grid2d does not support "
-                 "--stream-batches yet (incremental counting is 1D-only)\n");
-    return 1;
+  if (algo != "lcc" && algo != "tc" && similarity == nullptr)
+    throw std::invalid_argument("unknown --algo '" + algo +
+                                "' (lcc | tc | jaccard | overlap | "
+                                "adamic-adar)");
+  const auto method = intersect::parse_method(cli.get_string("method"));
+  if (!method)
+    throw std::invalid_argument("unknown --method '" +
+                                cli.get_string("method") +
+                                "' (hybrid | ssi | binary)");
+  const std::string& scores = cli.get_string("scores");
+  if (scores != "clampi" && scores != "degree")
+    throw std::invalid_argument("unknown --scores '" + scores +
+                                "' (clampi | degree)");
+  tools::Engine engine(cli, /*whole_rows=*/false);
+  // The incremental stream counter and the per-edge similarity analytics
+  // are 1D-only (the library would abort on the same conditions).
+  const bool streaming = cli.get_int("stream-batches") > 0;
+  const bool grid2d = engine.partition == graph::PartitionKind::Grid2D;
+  if (grid2d && streaming)
+    throw std::invalid_argument(
+        "--partition grid2d does not support --stream-batches yet "
+        "(incremental counting is 1D-only)");
+  if (grid2d && similarity != nullptr)
+    throw std::invalid_argument(
+        "--partition grid2d does not support per-edge similarity scores "
+        "(they need whole adjacency rows)");
+  if (streaming && similarity != nullptr)
+    throw std::invalid_argument("--stream-batches maintains TC/LCC only "
+                                "(--algo " + algo + " unsupported)");
+  const auto dir = cli.get_flag("directed") ? graph::Directedness::Directed
+                                            : graph::Directedness::Undirected;
+
+  if (const std::string& path = cli.get_string("convert"); !path.empty()) {
+    const std::string& input = cli.get_string("input");
+    if (!input.empty() && ingest::SnapshotReader::sniff(input))
+      throw std::invalid_argument("--convert does not apply to a v2 "
+                                  "snapshot input (a snapshot is already "
+                                  "binary)");
+    // Snapshot the edge list as loaded (pre-clean, so the binary is an
+    // exact stand-in for the original input on any later invocation).
+    util::Timer timer;
+    const graph::EdgeList edges = tools::raw_edges(cli, dir);
+    graph::save_binary_edges(edges, path);
+    std::fprintf(stderr, "# wrote %zu edges to %s (binary, %.1f s total)\n",
+                 edges.num_edges(), path.c_str(), timer.elapsed_s());
+    return 0;
   }
-  if (partition == graph::PartitionKind::Grid2D && similarity != nullptr) {
-    std::fprintf(stderr,
-                 "atlc_run: --partition grid2d does not support per-edge "
-                 "similarity scores (they need whole adjacency rows)\n");
-    return 1;
+
+  const tools::Graph loaded = tools::load_graph(cli, dir);
+  const graph::CSRGraph& g = loaded.csr;
+  if (streaming && g.directedness() == graph::Directedness::Directed)
+    throw std::invalid_argument("--stream-batches needs an undirected graph");
+  core::EngineConfig cfg = engine.config(loaded);
+  cfg.method = *method;
+  cfg.pipeline_depth = static_cast<std::size_t>(
+      std::max<std::int64_t>(1, cli.get_int("pipeline-depth")));
+  if (cfg.use_cache) {
+    cfg.cache_sizing = core::CacheSizing::paper_default(
+        g.num_vertices(),
+        static_cast<std::uint64_t>(cli.get_double("cache-frac") *
+                                   static_cast<double>(g.csr_bytes())));
+    if (scores == "clampi")
+      cfg.victim_policy = clampi::VictimPolicy::LruPositional;
+    cfg.cache_adaptive = cli.get_flag("adaptive");
   }
-  if (cli.get_int("stream-batches") > 0) {
-    if (algo != "lcc" && algo != "tc") {
-      std::fprintf(stderr,
-                   "atlc_run: --stream-batches maintains TC/LCC only "
-                   "(--algo %s unsupported)\n",
-                   algo.c_str());
-      return 1;
-    }
-    if (dir == graph::Directedness::Directed) {
-      std::fprintf(stderr,
-                   "atlc_run: --stream-batches needs an undirected graph\n");
-      return 1;
-    }
+  engine.trace.capture_wall = cli.get_flag("trace-wall");
+  const std::string& out_path = cli.get_string("out");
+  const std::unique_ptr<std::FILE, FileCloser> file(
+      out_path.empty() || out_path == "-"
+          ? stdout
+          : std::fopen(out_path.c_str(), "w"));
+  if (!file) throw std::runtime_error("cannot open " + out_path);
+  std::FILE* out = file.get();
+  const bool rows = !cli.get_flag("stats-only");
+  util::Json extra = util::Json::object();
+  extra["algo"] = algo;
+
+  if (streaming) {
     stream::WorkloadConfig wl;
     wl.num_batches = static_cast<std::size_t>(cli.get_int("stream-batches"));
     wl.batch_size = static_cast<std::size_t>(
@@ -362,10 +141,9 @@ int main(int argc, char** argv) {
 
     stream::StreamOptions sopts;
     sopts.engine = cfg;
-    sopts.partition = partition;
-    const auto r = stream::run_streaming_lcc(g, batches, ranks, sopts);
-    emit_artifacts(r);
-    print_run_summary(r);
+    sopts.partition = engine.partition;
+    const auto r = stream::run_streaming_lcc(g, batches, engine.ranks, sopts);
+    engine.finish(r, std::move(extra));
     std::fprintf(stderr,
                  "# cold count %.4f s | stream %.4f s over %zu batches | "
                  "stale evictions %llu\n",
@@ -386,49 +164,84 @@ int main(int argc, char** argv) {
                    b.makespan);
     }
     if (algo == "tc") {
-      std::fprintf(out.get(), "global_triangles\n%llu\n",
+      std::fprintf(out, "global_triangles\n%llu\n",
                    static_cast<unsigned long long>(r.global_triangles));
-    } else if (!cli.get_flag("stats-only")) {
-      std::fprintf(out.get(), "vertex,triangles,lcc\n");
+    } else if (rows) {
+      std::fprintf(out, "vertex,triangles,lcc\n");
       for (graph::VertexId v = 0; v < g.num_vertices(); ++v)
-        std::fprintf(out.get(), "%u,%llu,%.6f\n", v,
+        std::fprintf(out, "%u,%llu,%.6f\n", v,
                      static_cast<unsigned long long>(r.triangles[v]),
                      r.lcc[v]);
     }
-    return 0;
-  }
-  if (algo == "lcc") {
-    const auto r = core::run_distributed_lcc(g, ranks, cfg, {}, partition);
-    emit_artifacts(r);
-    print_run_summary(r);
+  } else if (algo == "lcc") {
+    const auto r =
+        core::run_distributed_lcc(g, engine.ranks, cfg, {}, engine.partition);
+    engine.finish(r, std::move(extra));
     std::fprintf(stderr, "# global triangles: %llu\n",
                  static_cast<unsigned long long>(r.global_triangles));
-    if (!cli.get_flag("stats-only")) {
-      std::fprintf(out.get(), "vertex,degree,triangles,lcc\n");
+    if (rows) {
+      std::fprintf(out, "vertex,degree,triangles,lcc\n");
       for (graph::VertexId v = 0; v < g.num_vertices(); ++v)
-        std::fprintf(out.get(), "%u,%u,%llu,%.6f\n", v, g.degree(v),
+        std::fprintf(out, "%u,%u,%llu,%.6f\n", v, g.degree(v),
                      static_cast<unsigned long long>(r.triangles[v]),
                      r.lcc[v]);
     }
   } else if (algo == "tc") {
-    const auto r = core::run_distributed_tc_result(g, ranks, cfg, {}, partition);
-    emit_artifacts(r);
-    std::fprintf(out.get(), "global_triangles\n%llu\n",
+    const auto r = core::run_distributed_tc_result(g, engine.ranks, cfg, {},
+                                                   engine.partition);
+    engine.finish(r, std::move(extra));
+    std::fprintf(out, "global_triangles\n%llu\n",
                  static_cast<unsigned long long>(r.global_triangles));
-  } else if (similarity != nullptr) {
-    const auto r = similarity(g, ranks, cfg, {}, partition);
-    emit_artifacts(r);
-    print_run_summary(r);
-    if (!cli.get_flag("stats-only")) {
-      std::fprintf(out.get(), "u,v,%s\n", algo.c_str());
+  } else {
+    const auto r = similarity(g, engine.ranks, cfg, {}, engine.partition);
+    engine.finish(r, std::move(extra));
+    if (rows) {
+      std::fprintf(out, "u,v,%s\n", algo.c_str());
       std::size_t k = 0;
       for (graph::VertexId u = 0; u < g.num_vertices(); ++u)
         for (graph::VertexId v : g.neighbors(u))
-          std::fprintf(out.get(), "%u,%u,%.6f\n", u, v, r.score[k++]);
+          std::fprintf(out, "%u,%u,%.6f\n", u, v, r.score[k++]);
     }
-  } else {
-    std::fprintf(stderr, "atlc_run: unknown --algo '%s'\n", algo.c_str());
-    return 1;
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  util::Cli cli("atlc_run",
+                "distributed LCC / TC / Jaccard on an edge list or R-MAT");
+  tools::add_graph_flags(cli, 13, 16,
+                         "generator / relabeling / stream-batch seed");
+  tools::add_engine_flags(cli, "block | cyclic | degree1d | grid2d");
+  cli.add_flag("directed", "treat the input as directed", false);
+  cli.add_string("algo", "lcc | tc | jaccard | overlap | adamic-adar", "lcc");
+  cli.add_string("method", "hybrid | ssi | binary", "hybrid");
+  cli.add_int("pipeline-depth",
+              "prefetch pipeline depth k (2 = paper double buffering, "
+              "1 = no overlap)",
+              2);
+  cli.add_double("cache-frac", "cache budget as fraction of CSR bytes", 0.5);
+  cli.add_string("scores", "clampi | degree (victim-selection scores)",
+                 "degree");
+  cli.add_flag("adaptive", "enable adaptive hash resizing", false);
+  cli.add_flag("trace-wall",
+               "stamp trace events with wall-clock time too (machine-"
+               "dependent: forfeits byte-identical traces)",
+               false);
+  cli.add_string("out", "output CSV path ('-' = stdout)", "-");
+  cli.add_flag("stats-only", "skip the per-item CSV body", false);
+  cli.add_string("convert",
+                 "snapshot the loaded edge list to this binary file and "
+                 "exit (skips the 6x text-parse cost on later runs)",
+                 "");
+  cli.add_int("stream-batches",
+              "apply this many update batches with the incremental "
+              "streaming engine (0 = static run)",
+              0);
+  cli.add_int("batch-size", "updates per streaming batch", 256);
+  cli.add_double("stream-insert-frac",
+                 "fraction of streamed updates that are insertions", 0.7);
+  if (!cli.parse(argc, argv)) return 1;
+  return tools::run_tool("atlc_run", [&] { return run(cli); });
 }

@@ -4,34 +4,32 @@
 // users" scale: virtual p50/p99 query latency, admission rejections and
 // HotVertexCache hit rates, per epoch and in aggregate.
 //
-//   atlc_serve --scale 12 --ranks 8 --epochs 8 --queries-per-epoch 4096
+//   atlc_serve --rmat-scale 12 --ranks 8 --epochs 8 --queries-per-epoch 4096
 //   atlc_serve --zipf 1.2 --hot-entries 4096 --batch-size 256
 //   atlc_serve --input graph.txt --capacity 512 --stats-json out.json
 //
-// Every number is virtual-time deterministic for a fixed seed: two runs
-// with the same flags print byte-identical reports (the serve bench
-// scenario and tests/test_serve.cpp pin that property down).
+// The graph input, engine flags, stats document and exit path are the
+// shared front end (front_end.hpp); one --seed drives the generator, the
+// relabel and the query traffic. Every number is virtual-time
+// deterministic for a fixed seed: two runs with the same flags print
+// byte-identical reports (the serve bench scenario and tests/test_serve.cpp
+// pin that property down).
 #include <cstdio>
-#include <exception>
+#include <stdexcept>
 #include <string>
-#include <vector>
 
-#include "atlc/graph/clean.hpp"
-#include "atlc/graph/generators.hpp"
-#include "atlc/graph/io.hpp"
-#include "atlc/obs/trace.hpp"
 #include "atlc/serve/query_engine.hpp"
 #include "atlc/serve/workload.hpp"
-#include "atlc/util/cli.hpp"
-#include "atlc/util/json.hpp"
 #include "atlc/util/recorder.hpp"
 #include "atlc/util/table.hpp"
+#include "front_end.hpp"
 
 namespace {
 
 using namespace atlc;
 
-util::Json stats_json(const serve::ServeResult& res) {
+/// The serving section of --stats-json, after the shared base keys.
+util::Json serve_json(const serve::ServeResult& res) {
   util::Json doc = util::Json::object();
   const core::QueryStats& qs = res.stats;
   doc["submitted"] = qs.submitted;
@@ -41,10 +39,8 @@ util::Json stats_json(const serve::ServeResult& res) {
   doc["latency_p99"] = qs.latency_percentile(99);
   doc["build_makespan"] = res.build_makespan;
   doc["serve_makespan"] = res.serve_makespan;
-  doc["makespan"] = qs.run.makespan;
   doc["edges_processed"] = qs.edges_processed;
   doc["remote_edges"] = qs.remote_edges;
-  doc["comm"] = util::to_json(qs.run.total());
   doc["hot_cache"] = util::to_json(res.hot_cache_total);
   util::Json epochs = util::Json::array();
   for (const serve::EpochOutcome& e : res.epochs) {
@@ -72,8 +68,74 @@ util::Json stats_json(const serve::ServeResult& res) {
     per_query.push_back(std::move(jq));
   }
   doc["per_query"] = std::move(per_query);
-  doc["peak_rss_bytes"] = util::peak_rss_bytes();
   return doc;
+}
+
+int run(const util::Cli& cli) {
+  tools::Engine engine(cli, /*whole_rows=*/true);
+  const tools::Graph loaded =
+      tools::load_graph(cli, graph::Directedness::Undirected);
+  const graph::CSRGraph& g = loaded.csr;
+  if (g.directedness() == graph::Directedness::Directed)
+    throw std::invalid_argument("serving needs an undirected graph");
+
+  serve::QueryWorkloadConfig wc;
+  wc.num_epochs = static_cast<std::size_t>(cli.get_int("epochs"));
+  wc.queries_per_epoch =
+      static_cast<std::size_t>(cli.get_int("queries-per-epoch"));
+  wc.zipf_skew = cli.get_double("zipf");
+  wc.topk = static_cast<std::uint32_t>(cli.get_int("topk"));
+  wc.lcc_fraction = cli.get_double("lcc-frac");
+  wc.common_fraction = cli.get_double("common-frac");
+  wc.batch_size = static_cast<std::size_t>(cli.get_int("batch-size"));
+  wc.insert_fraction = cli.get_double("insert-frac");
+  wc.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  const auto epochs = serve::generate_query_stream(g, wc);
+
+  serve::ServeOptions opts;
+  opts.engine = engine.config(loaded);
+  opts.partition = engine.partition;
+  opts.admission_capacity = static_cast<std::size_t>(cli.get_int("capacity"));
+  opts.hot_cache.entries = static_cast<std::size_t>(cli.get_int("hot-entries"));
+  opts.hot_cache.ways = static_cast<std::size_t>(cli.get_int("hot-ways"));
+  const serve::ServeResult res =
+      serve::run_query_stream(g, epochs, engine.ranks, opts);
+
+  util::Table t({"epoch", "submitted", "accepted", "rejected", "hot hits",
+                 "rows rebuilt", "query (s)", "update (s)"});
+  for (std::size_t e = 0; e < res.epochs.size(); ++e) {
+    const serve::EpochOutcome& eo = res.epochs[e];
+    t.add_row({util::Table::fmt_int(e), util::Table::fmt_int(eo.submitted),
+               util::Table::fmt_int(eo.accepted),
+               util::Table::fmt_int(eo.rejected),
+               util::Table::fmt_int(eo.hot_hits),
+               util::Table::fmt_int(eo.rows_rebuilt),
+               util::Table::fmt(eo.query_makespan, 5),
+               util::Table::fmt(eo.update_makespan, 5)});
+  }
+  t.print("serving epochs (ranks=" + std::to_string(engine.ranks) + ")");
+
+  const core::QueryStats& qs = res.stats;
+  std::printf(
+      "\nanswered %llu/%llu (%llu rejected) | virtual latency p50 %.3e s, "
+      "p99 %.3e s\n",
+      static_cast<unsigned long long>(qs.answered),
+      static_cast<unsigned long long>(qs.submitted),
+      static_cast<unsigned long long>(qs.rejected), qs.latency_percentile(50),
+      qs.latency_percentile(99));
+  std::printf(
+      "hot cache: %.1f%% hit rate (%llu hits, %llu stale, %llu evictions) "
+      "| pipeline: %llu edges, %.0f%% remote\n",
+      100.0 * res.hot_cache_total.hit_rate(),
+      static_cast<unsigned long long>(res.hot_cache_total.hits),
+      static_cast<unsigned long long>(res.hot_cache_total.stale_misses),
+      static_cast<unsigned long long>(res.hot_cache_total.evictions),
+      static_cast<unsigned long long>(qs.edges_processed),
+      100.0 * qs.remote_edge_fraction());
+  std::printf("virtual makespan: build %.5f s + serve %.5f s\n",
+              res.build_makespan, res.serve_makespan);
+  engine.finish(qs, serve_json(res));
+  return 0;
 }
 
 }  // namespace
@@ -82,15 +144,9 @@ int main(int argc, char** argv) {
   util::Cli cli("atlc_serve",
                 "always-on query serving: Zipf point queries interleaved "
                 "with update batches");
-  cli.add_string("input", "SNAP-format edge list ('' = generate R-MAT)", "");
-  cli.add_int("scale", "R-MAT scale when generating", 10);
-  cli.add_int("edge-factor", "R-MAT edge factor when generating", 8);
-  cli.add_int("graph-seed", "R-MAT seed", 13);
-  cli.add_int("ranks", "simulated ranks", 8);
-  cli.add_string("partition", "block | cyclic | degree1d", "block");
-  cli.add_double("hub-frac", "replicated hub fraction (degree skew tier)",
-                 0.0);
-  cli.add_flag("cached", "enable the CLaMPI window cache", false);
+  tools::add_graph_flags(cli, 10, 8,
+                         "generator / relabeling / query-traffic seed");
+  tools::add_engine_flags(cli, "block | cyclic | degree1d");
   // Workload.
   cli.add_int("epochs", "serving epochs (query burst + update batch)", 8);
   cli.add_int("queries-per-epoch", "point queries arriving per epoch", 1024);
@@ -101,130 +157,10 @@ int main(int argc, char** argv) {
   cli.add_int("batch-size", "updates per epoch batch (0 = queries only)",
               128);
   cli.add_double("insert-frac", "insert share of each update batch", 0.7);
-  cli.add_int("seed", "workload seed", 1);
   // Serving controls.
   cli.add_int("capacity", "admission queue bound per epoch", 1024);
   cli.add_int("hot-entries", "HotVertexCache slots (0 = off)", 1024);
   cli.add_int("hot-ways", "HotVertexCache bucket associativity", 4);
-  cli.add_string("stats-json", "write the aggregate QueryStats document "
-                 "('' = off)", "");
-  cli.add_string("trace", "write a Chrome trace-event JSON of the serving "
-                 "epochs ('' = off)", "");
   if (!cli.parse(argc, argv)) return 1;
-
-  try {
-    graph::EdgeList edges =
-        cli.get_string("input").empty()
-            ? graph::generate_rmat(
-                  {.scale = static_cast<unsigned>(cli.get_int("scale")),
-                   .edge_factor =
-                       static_cast<unsigned>(cli.get_int("edge-factor")),
-                   .seed = static_cast<std::uint64_t>(
-                       cli.get_int("graph-seed")),
-                   .directedness = graph::Directedness::Undirected})
-            : graph::load_edges(cli.get_string("input"),
-                                graph::Directedness::Undirected);
-    graph::clean(edges);
-    const graph::CSRGraph g = graph::CSRGraph::from_edges(edges);
-    std::printf("graph: %u vertices, %zu directed edges\n", g.num_vertices(),
-                g.num_edges());
-
-    serve::QueryWorkloadConfig wc;
-    wc.num_epochs = static_cast<std::size_t>(cli.get_int("epochs"));
-    wc.queries_per_epoch =
-        static_cast<std::size_t>(cli.get_int("queries-per-epoch"));
-    wc.zipf_skew = cli.get_double("zipf");
-    wc.topk = static_cast<std::uint32_t>(cli.get_int("topk"));
-    wc.lcc_fraction = cli.get_double("lcc-frac");
-    wc.common_fraction = cli.get_double("common-frac");
-    wc.batch_size = static_cast<std::size_t>(cli.get_int("batch-size"));
-    wc.insert_fraction = cli.get_double("insert-frac");
-    wc.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-    const auto epochs = serve::generate_query_stream(g, wc);
-
-    serve::ServeOptions opts;
-    opts.admission_capacity =
-        static_cast<std::size_t>(cli.get_int("capacity"));
-    opts.hot_cache.entries =
-        static_cast<std::size_t>(cli.get_int("hot-entries"));
-    opts.hot_cache.ways = static_cast<std::size_t>(cli.get_int("hot-ways"));
-    opts.engine.hub_fraction = cli.get_double("hub-frac");
-    const std::string& part = cli.get_string("partition");
-    const auto kind = graph::parse_partition_kind(part);
-    if (!kind || *kind == graph::PartitionKind::Grid2D) {
-      std::fprintf(stderr,
-                   "atlc_serve: unsupported --partition '%s' (point queries "
-                   "need whole rows: block | cyclic | degree1d)\n",
-                   part.c_str());
-      return 1;
-    }
-    opts.partition = *kind;
-    if (cli.get_flag("cached")) {
-      opts.engine.use_cache = true;
-      opts.engine.cache_sizing = core::CacheSizing::paper_default(
-          g.num_vertices(), g.csr_bytes() / 2);
-    }
-    obs::TraceCollector trace;
-    if (!cli.get_string("trace").empty()) opts.engine.trace = &trace;
-
-    const auto ranks = static_cast<std::uint32_t>(cli.get_int("ranks"));
-    const serve::ServeResult res =
-        serve::run_query_stream(g, epochs, ranks, opts);
-
-    util::Table t({"epoch", "submitted", "accepted", "rejected", "hot hits",
-                   "rows rebuilt", "query (s)", "update (s)"});
-    for (std::size_t e = 0; e < res.epochs.size(); ++e) {
-      const serve::EpochOutcome& eo = res.epochs[e];
-      t.add_row({util::Table::fmt_int(e), util::Table::fmt_int(eo.submitted),
-                 util::Table::fmt_int(eo.accepted),
-                 util::Table::fmt_int(eo.rejected),
-                 util::Table::fmt_int(eo.hot_hits),
-                 util::Table::fmt_int(eo.rows_rebuilt),
-                 util::Table::fmt(eo.query_makespan, 5),
-                 util::Table::fmt(eo.update_makespan, 5)});
-    }
-    t.print("serving epochs (ranks=" + std::to_string(ranks) + ")");
-
-    const core::QueryStats& qs = res.stats;
-    std::printf(
-        "\nanswered %llu/%llu (%llu rejected) | virtual latency p50 %.3e s, "
-        "p99 %.3e s\n",
-        static_cast<unsigned long long>(qs.answered),
-        static_cast<unsigned long long>(qs.submitted),
-        static_cast<unsigned long long>(qs.rejected),
-        qs.latency_percentile(50), qs.latency_percentile(99));
-    std::printf(
-        "hot cache: %.1f%% hit rate (%llu hits, %llu stale, %llu evictions) "
-        "| pipeline: %llu edges, %.0f%% remote\n",
-        100.0 * res.hot_cache_total.hit_rate(),
-        static_cast<unsigned long long>(res.hot_cache_total.hits),
-        static_cast<unsigned long long>(res.hot_cache_total.stale_misses),
-        static_cast<unsigned long long>(res.hot_cache_total.evictions),
-        static_cast<unsigned long long>(qs.edges_processed),
-        100.0 * qs.remote_edge_fraction());
-    std::printf("virtual makespan: build %.5f s + serve %.5f s\n",
-                res.build_makespan, res.serve_makespan);
-
-    if (!cli.get_string("stats-json").empty()) {
-      if (!util::write_json_file(cli.get_string("stats-json"),
-                                 stats_json(res))) {
-        std::fprintf(stderr, "atlc_serve: cannot write %s\n",
-                     cli.get_string("stats-json").c_str());
-        return 1;
-      }
-      std::printf("stats JSON -> %s\n", cli.get_string("stats-json").c_str());
-    }
-    if (!cli.get_string("trace").empty()) {
-      if (!trace.write_chrome_trace(cli.get_string("trace"))) {
-        std::fprintf(stderr, "atlc_serve: cannot write %s\n",
-                     cli.get_string("trace").c_str());
-        return 1;
-      }
-      std::printf("trace -> %s\n", cli.get_string("trace").c_str());
-    }
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "atlc_serve: %s\n", e.what());
-    return 1;
-  }
-  return 0;
+  return tools::run_tool("atlc_serve", [&] { return run(cli); });
 }

@@ -1,5 +1,5 @@
 # End-to-end ingest smoke (ctest tier1): R-MAT -> v1 binary -> atlc_ingest
-# (spill path forced by a tiny memory budget) -> atlc_run --snapshot, and
+# (spill path forced by a tiny memory budget) -> atlc_run --input g.v2, and
 # the resulting LCC/TC CSVs must be byte-identical to the in-memory
 # load+clean path on the same input and seed, across partition kinds.
 #
@@ -43,6 +43,15 @@ if(rc EQUAL 0)
   message(FATAL_ERROR "ingest_smoke: re-ingesting a v2 snapshot succeeded")
 endif()
 
+# Converting a snapshot back to a v1 edge list must be rejected.
+execute_process(COMMAND ${ATLC_RUN} --input ${WORK_DIR}/g.v2
+                --convert ${WORK_DIR}/back.bin RESULT_VARIABLE rc
+                ERROR_QUIET)
+if(NOT rc EQUAL 1)
+  message(FATAL_ERROR "ingest_smoke: --convert of a v2 snapshot was not "
+                      "rejected (${rc})")
+endif()
+
 # The out-of-core path must reproduce the in-memory path bit-for-bit.
 foreach(combo "lcc;block" "lcc;grid2d" "tc;cyclic")
   list(GET combo 0 algo)
@@ -50,7 +59,7 @@ foreach(combo "lcc;block" "lcc;grid2d" "tc;cyclic")
   run_checked(${ATLC_RUN} --input ${WORK_DIR}/g.bin --seed ${seed}
               --algo ${algo} --partition ${part} --ranks ${ranks}
               --out ${WORK_DIR}/mem_${algo}_${part}.csv)
-  run_checked(${ATLC_RUN} --snapshot ${WORK_DIR}/g.v2
+  run_checked(${ATLC_RUN} --input ${WORK_DIR}/g.v2
               --algo ${algo} --partition ${part} --ranks ${ranks}
               --out ${WORK_DIR}/ooc_${algo}_${part}.csv)
   execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
