@@ -23,6 +23,16 @@
 
 namespace atlc::bench {
 
+/// The engine as the paper runs it: the scalar Paper-tier kernels (the
+/// library default is Tiered) and, for TC, no orientation. Every scenario
+/// that does not itself sweep kernel tiers starts from this config, so its
+/// virtual-time baseline does not move with the library defaults.
+[[nodiscard]] inline core::EngineConfig paper_engine() {
+  core::EngineConfig cfg;
+  cfg.intersect_tier = intersect::Tier::Paper;
+  return cfg;
+}
+
 /// Per-run state handed to a scenario's run function.
 struct ScenarioContext {
   util::Cli& cli;

@@ -30,7 +30,7 @@ void run(bench::ScenarioContext& ctx) {
     util::Table t({"Method", "makespan (s)"});
     for (auto m : {intersect::Method::Hybrid, intersect::Method::SSI,
                    intersect::Method::Binary}) {
-      core::EngineConfig cfg;
+      core::EngineConfig cfg = bench::paper_engine();
       cfg.method = m;
       const auto r = ctx.run_lcc_trials(
           std::string("makespan/method/") + intersect::method_name(m),
@@ -45,7 +45,7 @@ void run(bench::ScenarioContext& ctx) {
   // D6: double buffering (pipeline depth 2) against no overlap (depth 1).
   {
     util::Table t({"Pipeline", "makespan (s)"});
-    core::EngineConfig on, off;
+    core::EngineConfig on = bench::paper_engine(), off = on;
     on.pipeline_depth = 2;
     off.pipeline_depth = 1;
     const double t_on =
@@ -76,7 +76,7 @@ void run(bench::ScenarioContext& ctx) {
       const bool block = kind == graph::PartitionKind::Block1D;
       const auto r = ctx.run_lcc_trials(
           std::string("makespan/partition/") + (block ? "block1d" : "cyclic1d"),
-          {}, g, ranks, {}, kind);
+          {}, g, ranks, bench::paper_engine(), kind);
       t.add_row({block ? "Block 1D (paper)" : "Cyclic 1D [26]",
                  util::Table::fmt(r.run.makespan, 4),
                  util::Table::fmt(r.imbalance(), 3)});
@@ -89,7 +89,7 @@ void run(bench::ScenarioContext& ctx) {
   {
     util::Table t({"Cache tuning", "makespan (s)"});
     for (bool adaptive : {false, true}) {
-      core::EngineConfig cfg;
+      core::EngineConfig cfg = bench::paper_engine();
       cfg.use_cache = true;
       cfg.cache_adaptive = adaptive;
       // Deliberately undersized hash table: adaptivity has something to fix.

@@ -50,9 +50,10 @@ void run(bench::ScenarioContext& ctx) {
       std::snprintf(metric, sizeof(metric), "makespan/plain/%s/p%u",
                     name.c_str(), p);
       const auto plain =
-          ctx.run_lcc_trials(metric, {.gate = gate}, g, p, {});
+          ctx.run_lcc_trials(metric, {.gate = gate}, g, p,
+                             bench::paper_engine());
 
-      core::EngineConfig cached_cfg;
+      core::EngineConfig cached_cfg = bench::paper_engine();
       cached_cfg.use_cache = true;
       cached_cfg.victim_policy = clampi::VictimPolicy::UserScore;
       cached_cfg.cache_sizing = core::CacheSizing::paper_default(

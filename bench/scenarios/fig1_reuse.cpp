@@ -20,7 +20,7 @@ void run(bench::ScenarioContext& ctx) {
   const auto& g = ctx.graph_or_file("Facebook-circles");
   std::printf("graph: %s\n", bench::describe(g).c_str());
 
-  core::EngineConfig cfg;
+  core::EngineConfig cfg = bench::paper_engine();
   cfg.track_remote_reads = true;
   const auto result = ctx.run_lcc_trials(
       "makespan/plain", {.gate = true}, g,

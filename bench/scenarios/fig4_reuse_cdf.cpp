@@ -28,7 +28,7 @@ void run(bench::ScenarioContext& ctx) {
   double uniform_top10 = 0, rmat_top10 = 0;
   for (const auto& name : graphs) {
     const auto& g = ctx.graph(name);
-    core::EngineConfig cfg;
+    core::EngineConfig cfg = bench::paper_engine();
     cfg.track_remote_reads = true;
     const auto result = ctx.run_lcc_trials(
         "makespan/" + name, {.gate = name == "R-MAT-S21-EF16"}, g, ranks, cfg);

@@ -15,7 +15,7 @@ void run(bench::ScenarioContext& ctx) {
   const auto& g = ctx.graph_or_file("Facebook-circles");
   std::printf("graph: %s\n", bench::describe(g).c_str());
 
-  core::EngineConfig cfg;
+  core::EngineConfig cfg = bench::paper_engine();
   cfg.use_cache = true;
   cfg.track_remote_reads = true;
   cfg.dump_cache_entries = true;

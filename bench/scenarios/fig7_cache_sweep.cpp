@@ -53,7 +53,8 @@ void run(bench::ScenarioContext& ctx) {
 
   // Baseline without any cache.
   const auto baseline =
-      ctx.run_lcc_trials("makespan/uncached", {.gate = true}, g, ranks, {});
+      ctx.run_lcc_trials("makespan/uncached", {.gate = true}, g, ranks,
+                         bench::paper_engine());
   const double comm_base = mean_comm(baseline);
   std::printf("non-cached communication time (mean/rank): %.3f s\n\n",
               comm_base);
@@ -64,7 +65,7 @@ void run(bench::ScenarioContext& ctx) {
     std::vector<SweepPoint> points;
     for (int s = 1; s <= steps; ++s) {
       const double fraction = static_cast<double>(s) / steps;
-      core::EngineConfig cfg;
+      core::EngineConfig cfg = bench::paper_engine();
       cfg.use_cache = true;
       cfg.cache_offsets = !sweep_adj;
       cfg.cache_adj = sweep_adj;

@@ -22,7 +22,7 @@ struct Measurement {
 
 Measurement run_once(bench::ScenarioContext& ctx, const graph::CSRGraph& g,
                      std::uint32_t ranks, clampi::VictimPolicy policy) {
-  core::EngineConfig cfg;
+  core::EngineConfig cfg = bench::paper_engine();
   cfg.use_cache = true;
   cfg.victim_policy = policy;
   // 25% of the non-local partition bytes per rank (paper Section IV-D1):

@@ -69,7 +69,7 @@ void run(bench::ScenarioContext& ctx) {
   for (std::size_t a = 0; a < std::size(arms); ++a) {
     const Arm& arm = arms[a];
     for (const std::uint32_t ranks : rank_counts) {
-      core::EngineConfig cfg;
+      core::EngineConfig cfg = bench::paper_engine();
       cfg.use_cache = true;
       cfg.cache_sizing = core::CacheSizing::paper_default(g.num_vertices(),
                                                           g.csr_bytes() / 2);

@@ -35,7 +35,7 @@ void run(bench::ScenarioContext& ctx) {
     double best = 0.0;
     std::size_t best_k = 1;
     for (const std::size_t k : depths) {
-      core::EngineConfig cfg;
+      core::EngineConfig cfg = bench::paper_engine();
       cfg.pipeline_depth = k;
       if (cached) {
         cfg.use_cache = true;

@@ -67,6 +67,7 @@ void run(bench::ScenarioContext& ctx) {
 
       for (const std::size_t budget : budgets) {
         serve::ServeOptions opts;
+        opts.engine = bench::paper_engine();
         opts.engine.cost = ctx.cost();
         opts.admission_capacity = queries_per_epoch;  // no rejections here
         opts.hot_cache.entries = budget;

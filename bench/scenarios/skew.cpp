@@ -62,7 +62,7 @@ void run(bench::ScenarioContext& ctx) {
     for (const auto kind : partitions) {
       const char* kind_name = graph::partition_kind_name(kind);
       for (const double frac : hub_fracs) {
-        core::EngineConfig cfg;
+        core::EngineConfig cfg = bench::paper_engine();
         cfg.use_cache = true;
         cfg.cache_sizing = core::CacheSizing::paper_default(
             g.num_vertices(), g.csr_bytes() / 2);

@@ -48,7 +48,7 @@ void run(bench::ScenarioContext& ctx) {
     util::Table t({"Batch size", "incremental (s)", "recount (s)", "speedup",
                    "stale evict", "adj hit %"});
     for (const std::size_t bs : sizes) {
-      core::EngineConfig cfg;
+      core::EngineConfig cfg = bench::paper_engine();
       cfg.cost = ctx.cost();
       if (cached) {
         cfg.use_cache = true;

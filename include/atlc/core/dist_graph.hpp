@@ -86,6 +86,12 @@ class LocalSliceSource {
 /// CSR is only consulted for hub rows. Either path must produce identical
 /// vectors; build_dist_graph cross-checks the row count.
 ///
+/// With `dodg`, the rows — from either source — are then oriented in place
+/// (graph::orient_dodg's rule, on the degrees of the undirected `global`):
+/// the rank serves the out-rows of the degree-ordered graph over the SAME
+/// partition the undirected rows were sliced by, so an oriented run reads a
+/// snapshot's slices exactly like an undirected one (DESIGN.md §9).
+///
 /// When `hubs` is non-null and non-empty, the prototype replica is copied
 /// into the rank's DistGraph and the replication traffic is priced on the
 /// virtual clock: each rank is charged one modeled remote get per hub row
@@ -95,6 +101,6 @@ class LocalSliceSource {
 [[nodiscard]] DistGraph build_dist_graph(
     rma::RankCtx& ctx, const CSRGraph& global, const Partition& partition,
     const graph::HubReplica* hubs = nullptr,
-    const LocalSliceSource* slice = nullptr);
+    const LocalSliceSource* slice = nullptr, bool dodg = false);
 
 }  // namespace atlc::core

@@ -22,6 +22,7 @@
 #include "atlc/core/dist_graph.hpp"
 #include "atlc/core/engine_config.hpp"
 #include "atlc/core/fetcher.hpp"
+#include "atlc/graph/dodg.hpp"
 #include "atlc/graph/hub_replica.hpp"
 #include "atlc/util/check.hpp"
 
@@ -276,16 +277,23 @@ concept EdgeAnalyticBody =
 /// its pipeline, run `body`, and aggregate the per-rank pipeline counters
 /// identically for every analytic (this symmetry is load-bearing: Jaccard
 /// historically dropped offsets-cache stats and remote-read tracking).
+/// `dodg` (TC only) runs over the degree-ordered orientation of the
+/// undirected `g`: the partition is still made from `g`, and each rank
+/// orients its rows as it builds them (build_dist_graph).
 template <EdgeAnalyticBody Body>
 [[nodiscard]] EdgeAnalyticStats run_edge_analytic(
     const CSRGraph& g, std::uint32_t ranks, const EngineConfig& config,
     const rma::NetworkModel& net, graph::PartitionKind partition_kind,
-    Body&& body) {
+    Body&& body, bool dodg = false) {
   const Partition partition = graph::make_partition(g, partition_kind, ranks);
   // One prototype, copied per rank by build_dist_graph (which also prices
   // the replication). Empty — and free — at the default hub_fraction = 0.
+  // Under `dodg` the replicated rows are out-rows, and the hubs the rows
+  // with the largest out-degree.
   const graph::HubReplica hub_replica =
-      graph::HubReplica::build(g, config.hub_fraction);
+      dodg && config.hub_fraction > 0.0
+          ? graph::HubReplica::build(graph::orient_dodg(g), config.hub_fraction)
+          : graph::HubReplica::build(g, config.hub_fraction);
 
   EdgeAnalyticStats out;
   if (config.track_remote_reads)
@@ -299,8 +307,8 @@ template <EdgeAnalyticBody Body>
   opts.trace = config.trace;
   out.run = rma::Runtime::run(opts, [&](rma::RankCtx& ctx) {
     ctx.tracer().begin("build_graph");
-    const DistGraph dg =
-        build_dist_graph(ctx, g, partition, &hub_replica, config.slice_source);
+    const DistGraph dg = build_dist_graph(ctx, g, partition, &hub_replica,
+                                          config.slice_source, dodg);
     EdgePipeline pipeline(ctx, dg, config);
     ctx.tracer().end("build_graph");
     ctx.tracer().begin("pipeline");

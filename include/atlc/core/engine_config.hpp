@@ -40,20 +40,21 @@ struct CacheSizing {
 /// drivers decide upper-triangle trimming themselves and take the DODG
 /// orientation as their own argument (core/lcc.hpp).
 struct EngineConfig {
+  /// The Paper tier's intersection kernel (unused under Tiered).
   intersect::Method method = intersect::Method::Hybrid;
 
   /// Kernel generation serving every counting intersection
   /// (intersect::Intersector, DESIGN.md §9) — LCC/TC, Jaccard/overlap and
-  /// the serve `lcc(v)` query alike. `Paper` — the default — is the scalar
-  /// binary/SSI/hybrid family selected by `method`, and is what every
-  /// checked-in virtual-time smoke baseline was recorded against; it must
-  /// stay the default so those baselines reproduce bit-identically.
-  /// `Tiered` dispatches per list shape (default intersect::TierPolicy): a
-  /// dense reusable bitmap for hub rows, galloping search for highly
-  /// skewed pairs, branch-reduced merge for the long tail. Results are
-  /// identical under either tier (all kernels are exact); only the charged
-  /// virtual compute time differs.
-  intersect::Tier intersect_tier = intersect::Tier::Paper;
+  /// the serve `lcc(v)` query alike. `Tiered` — the default — dispatches
+  /// per list shape (default intersect::TierPolicy): a dense reusable
+  /// bitmap for hub rows, galloping search for highly skewed pairs,
+  /// branch-reduced merge for the long tail. `Paper` is the scalar
+  /// binary/SSI/hybrid family selected by `method`: the paper's kernels,
+  /// which every paper-figure bench scenario pins and its checked-in
+  /// virtual-time baseline was recorded against. Results are identical
+  /// under either tier (all kernels are exact); only the charged virtual
+  /// compute time and the host time differ.
+  intersect::Tier intersect_tier = intersect::Tier::Tiered;
 
   /// Compute-cost model for virtual-time charging (see
   /// intersect/cost_model.hpp). Benches calibrate this once on startup.

@@ -31,8 +31,14 @@ struct RankResult {
 
 /// Aggregated outcome of a full distributed run: the per-analytic outputs
 /// plus the stats block every edge analytic shares (edge_pipeline.hpp).
+/// On undirected graphs, with t(v) the number of distinct triangles at v:
+///   - run_distributed_lcc: triangles[v] = 2·t(v), the edge-centric count
+///     (paper Section II-C; graph::reference_lcc's convention);
+///   - run_distributed_tc_result: triangles[v] = t(v), on either path.
+/// Either way lcc[v] is the paper's Eq. (2) score over the undirected
+/// degree, bit-identical to graph::reference_lcc.
 struct RunResult : EdgeAnalyticStats {
-  std::vector<std::uint64_t> triangles;  ///< per global vertex
+  std::vector<std::uint64_t> triangles;  ///< per global vertex, see above
   std::vector<double> lcc;               ///< per global vertex
   std::uint64_t global_triangles = 0;    ///< distinct triangles (undirected)
 };
@@ -45,30 +51,25 @@ struct RunResult : EdgeAnalyticStats {
     const rma::NetworkModel& net = {},
     graph::PartitionKind partition = graph::PartitionKind::Block1D);
 
-/// Global triangle count via the same machinery. For undirected graphs
-/// returns the number of distinct triangles. Two de-duplication paths:
-/// the paper's upper-triangle floor trick (default), or — with
-/// `orient_dodg` — a degree-ordered orientation pass (graph::orient_dodg)
-/// that enumerates each triangle exactly once with no per-edge trimming
-/// and caps every row at O(sqrt(m)) (DESIGN.md §9). The orientation is a
-/// TC-only choice — LCC and the similarity analytics need full undirected
-/// neighborhoods — so it is an argument here, not an EngineConfig field.
-[[nodiscard]] std::uint64_t run_distributed_tc(
-    const CSRGraph& g, std::uint32_t ranks, const EngineConfig& config = {},
-    const rma::NetworkModel& net = {},
-    graph::PartitionKind partition = graph::PartitionKind::Block1D,
-    bool orient_dodg = false);
-
-/// Full-record variant of run_distributed_tc: same counting paths, but
-/// returns the whole RunResult (makespan, comm/cache stats, per-vertex
-/// counts) — the `dodg` bench scenario compares the paths on it. Note that
-/// on the DODG path `triangles[v]` is the count of triangles whose
-/// (deg, id)-least edge starts at v, NOT the edge-centric t(v);
-/// `global_triangles` is exact either way.
+/// Global and per-vertex triangle counts via the same machinery. For
+/// undirected graphs `global_triangles` is the number of distinct
+/// triangles and triangles[v] = t(v), under two de-duplication paths:
+///   - `orient_dodg` (the default): the ranks serve the degree-ordered
+///     orientation of `g` (graph::orient_dodg's rule, applied per row at
+///     graph build), which enumerates each triangle exactly once — at its
+///     least arc, with no per-edge trimming — and caps every row at
+///     O(sqrt(m)). Each arc u→j credits u and j by its common out-neighbor
+///     count and every common out-neighbor by 1 (DESIGN.md §9).
+///   - otherwise the paper's upper-triangle floor trick (Section II-C) over
+///     full rows: what the paper runs.
+/// The orientation is a TC-only choice — LCC and the similarity analytics
+/// need full undirected neighborhoods — so it is an argument here, not an
+/// EngineConfig field. Directed graphs are never oriented: triangles[v]
+/// counts the transitive triads at v and `global_triangles` is their sum.
 [[nodiscard]] RunResult run_distributed_tc_result(
     const CSRGraph& g, std::uint32_t ranks, const EngineConfig& config = {},
     const rma::NetworkModel& net = {},
     graph::PartitionKind partition = graph::PartitionKind::Block1D,
-    bool orient_dodg = false);
+    bool orient_dodg = true);
 
 }  // namespace atlc::core

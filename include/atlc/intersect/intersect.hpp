@@ -1,10 +1,13 @@
 #pragma once
 
+#include <algorithm>
 #include <concepts>
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 
 #include "atlc/graph/types.hpp"
 
@@ -26,13 +29,16 @@ enum class Method : std::uint8_t {
 [[nodiscard]] std::optional<Method> parse_method(std::string_view name);
 
 /// Kernel generation serving local intersections. `Paper` is the scalar
-/// binary/SSI/hybrid family above (the default: every virtual-time smoke
-/// baseline is calibrated against it and stays bit-identical); `Tiered`
-/// dispatches per list shape to the bitmap/galloping/branch-reduced-merge
-/// kernels in tiered.hpp (DESIGN.md §9).
+/// binary/SSI/hybrid family above (what the paper-figure bench scenarios
+/// pin, so their virtual-time baselines stay bit-identical); `Tiered` — the
+/// engine default — dispatches per list shape to the bitmap/galloping/
+/// branch-reduced-merge kernels in tiered.hpp (DESIGN.md §9).
 enum class Tier : std::uint8_t { Paper, Tiered };
 
 [[nodiscard]] const char* tier_name(Tier t);
+
+/// Inverse of tier_name ("paper" / "tiered"); nullopt for any other name.
+[[nodiscard]] std::optional<Tier> parse_tier(std::string_view name);
 
 /// The concrete kernel the Tiered dispatch picked for one pair — also the
 /// key the cost model prices tiered intersections under.
@@ -63,20 +69,92 @@ struct TierPolicy {
                                             std::size_t other_len,
                                             const TierPolicy& policy);
 
-/// |a ∩ b| via binary search (paper Algorithm 1). Internally searches the
-/// shorter list's elements in the longer list — "one should always assign
-/// the longer list as the search tree and the shorter one as the array of
-/// keys". Preconditions: both spans sorted ascending, no duplicates.
-[[nodiscard]] std::uint64_t count_binary(std::span<const VertexId> a,
-                                         std::span<const VertexId> b);
+/// The visitor the counting kernels pass: it ignores every id, so each
+/// count_* function is its visit_* kernel with the visit compiled away and
+/// the two forms cannot drift apart.
+struct CountOnly {
+  void operator()(VertexId) const noexcept {}
+};
 
-/// |a ∩ b| via sorted set intersection (paper Algorithm 2).
-[[nodiscard]] std::uint64_t count_ssi(std::span<const VertexId> a,
-                                      std::span<const VertexId> b);
+/// A visitor for the visit_* kernels: called once per common id, in
+/// ascending id order, in the same pass that counts.
+template <typename F>
+concept CommonVisitor = std::invocable<F&, VertexId>;
 
 /// Eq. (3): SSI is predicted faster than binary search iff
 /// |B|/|A| <= log2(|B|) - 1, with |A| <= |B|.
 [[nodiscard]] bool prefer_ssi(std::size_t len_a, std::size_t len_b);
+
+/// |a ∩ b| via binary search (paper Algorithm 1), visiting each common id.
+/// Internally searches the shorter list's elements in the longer list —
+/// "one should always assign the longer list as the search tree and the
+/// shorter one as the array of keys". Preconditions: both spans sorted
+/// ascending, no duplicates.
+template <CommonVisitor F>
+std::uint64_t visit_binary(std::span<const VertexId> a,
+                           std::span<const VertexId> b, F&& visit) {
+  // Keys from the shorter list, search tree over the longer one.
+  if (a.size() > b.size()) std::swap(a, b);
+  std::uint64_t counter = 0;
+  for (const VertexId x : a) {
+    if (std::binary_search(b.begin(), b.end(), x)) {
+      ++counter;
+      visit(x);
+    }
+  }
+  return counter;
+}
+
+/// |a ∩ b| via sorted set intersection (paper Algorithm 2, the two-pointer
+/// merge), visiting each common id.
+template <CommonVisitor F>
+std::uint64_t visit_ssi(std::span<const VertexId> a,
+                        std::span<const VertexId> b, F&& visit) {
+  std::uint64_t counter = 0;
+  std::size_t i = 0, j = 0;
+  while (i < a.size() && j < b.size()) {
+    if (a[i] == b[j]) {
+      ++counter;
+      visit(a[i]);
+      ++i;
+      ++j;
+    } else if (a[i] < b[j]) {
+      ++i;
+    } else {
+      ++j;
+    }
+  }
+  return counter;
+}
+
+/// |a ∩ b| choosing the kernel per Eq. (3) (paper hybrid method), visiting
+/// each common id.
+template <CommonVisitor F>
+std::uint64_t visit_hybrid(std::span<const VertexId> a,
+                           std::span<const VertexId> b, F&& visit) {
+  return prefer_ssi(a.size(), b.size()) ? visit_ssi(a, b, visit)
+                                        : visit_binary(a, b, visit);
+}
+
+/// Dispatch on a runtime-selected method, visiting each common id.
+template <CommonVisitor F>
+std::uint64_t visit_common(std::span<const VertexId> a,
+                           std::span<const VertexId> b, Method m, F&& visit) {
+  switch (m) {
+    case Method::Binary: return visit_binary(a, b, visit);
+    case Method::SSI: return visit_ssi(a, b, visit);
+    case Method::Hybrid: return visit_hybrid(a, b, visit);
+  }
+  return 0;
+}
+
+/// |a ∩ b| via binary search (visit_binary, counting only).
+[[nodiscard]] std::uint64_t count_binary(std::span<const VertexId> a,
+                                         std::span<const VertexId> b);
+
+/// |a ∩ b| via sorted set intersection (visit_ssi, counting only).
+[[nodiscard]] std::uint64_t count_ssi(std::span<const VertexId> a,
+                                      std::span<const VertexId> b);
 
 /// |a ∩ b| choosing the kernel per Eq. (3) (paper hybrid method).
 [[nodiscard]] std::uint64_t count_hybrid(std::span<const VertexId> a,
@@ -99,28 +177,15 @@ struct TierPolicy {
 [[nodiscard]] std::span<const VertexId> suffix_above(
     std::span<const VertexId> s, VertexId floor);
 
-/// Visit every element of a ∩ b in ascending order (two-pointer merge, the
-/// SSI walk of paper Algorithm 2 with a visitor instead of a counter).
-/// Kernels that need the common neighbors themselves — Adamic–Adar weights
-/// each by its degree — use this; its virtual-time cost is charged as an
-/// SSI intersection (CostModel::seconds_enumerate) since it performs
+/// Visit every element of a ∩ b in ascending order (visit_ssi without the
+/// count). Kernels that need the common neighbors themselves — Adamic–Adar
+/// weights each by its degree — use this; its virtual-time cost is charged
+/// as an SSI intersection (CostModel::seconds_enumerate) since it performs
 /// exactly that merge. Preconditions: sorted, no duplicates.
-template <typename F>
-  requires std::invocable<F&, VertexId>
+template <CommonVisitor F>
 void for_each_common(std::span<const VertexId> a, std::span<const VertexId> b,
                      F&& visit) {
-  std::size_t i = 0, k = 0;
-  while (i < a.size() && k < b.size()) {
-    if (a[i] < b[k]) {
-      ++i;
-    } else if (b[k] < a[i]) {
-      ++k;
-    } else {
-      visit(a[i]);
-      ++i;
-      ++k;
-    }
-  }
+  (void)visit_ssi(a, b, visit);
 }
 
 }  // namespace atlc::intersect

@@ -19,26 +19,101 @@
 // exact — tests/test_intersect_diff.cpp cross-checks every
 // tier against std::set_intersection over ~10k randomized pairs.
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "atlc/intersect/cost_model.hpp"
 #include "atlc/intersect/intersect.hpp"
+#include "atlc/util/check.hpp"
 
 namespace atlc::intersect {
 
-/// |a ∩ b| via a branch-reduced merge: the two-pointer SSI walk with
-/// conditional-increment stepping (compiles to setcc/cmov, no mispredicted
-/// compare branch) plus a 4-wide block skip when one side's next quad lies
-/// entirely below the other side's cursor. Preconditions: sorted ascending,
-/// no duplicates.
+/// |a ∩ b| via a branch-reduced merge, visiting each common id: the
+/// two-pointer SSI walk with conditional-increment stepping (compiles to
+/// setcc/cmov, no mispredicted compare branch) plus a 4-wide block skip when
+/// one side's next quad lies entirely below the other side's cursor.
+/// Preconditions: sorted ascending, no duplicates.
+template <CommonVisitor F>
+std::uint64_t visit_merge_vec(std::span<const VertexId> a,
+                              std::span<const VertexId> b, F&& visit) {
+  const std::size_t na = a.size(), nb = b.size();
+  std::uint64_t count = 0;
+  std::size_t i = 0, k = 0;
+  // Quad-skip main loop: when one side's next four elements all sit below
+  // the other side's cursor, skip them wholesale (one compare per four
+  // elements on disjoint stretches); otherwise take one branch-reduced
+  // step — the equality/advance decisions become flag-setting arithmetic
+  // instead of an unpredictable three-way branch.
+  while (i + 4 <= na && k + 4 <= nb) {
+    if (a[i + 3] < b[k]) {
+      i += 4;
+      continue;
+    }
+    if (b[k + 3] < a[i]) {
+      k += 4;
+      continue;
+    }
+    const VertexId x = a[i], y = b[k];
+    count += (x == y);
+    if (x == y) visit(x);
+    i += (x <= y);
+    k += (y <= x);
+  }
+  // Branch-reduced tail for the final < 4 elements of either side (the
+  // SIMD-width-straddling lengths the differential harness pins down).
+  while (i < na && k < nb) {
+    const VertexId x = a[i], y = b[k];
+    count += (x == y);
+    if (x == y) visit(x);
+    i += (x <= y);
+    k += (y <= x);
+  }
+  return count;
+}
+
+/// |a ∩ b| via galloping search, visiting each common id: each key of the
+/// shorter list exponentially advances a shared cursor in the longer list,
+/// then binary-searches the bracketed window. Wins when one list dwarfs the
+/// other (hub vs leaf).
+template <CommonVisitor F>
+std::uint64_t visit_gallop(std::span<const VertexId> a,
+                           std::span<const VertexId> b, F&& visit) {
+  // Keys from the shorter list, galloped cursor over the longer one.
+  if (a.size() > b.size()) std::swap(a, b);
+  std::uint64_t count = 0;
+  std::size_t base = 0;  // b[0, base) is strictly below the current key
+  for (const VertexId x : a) {
+    if (base >= b.size()) break;
+    // Exponential advance: grow the window until b[hi] >= x (or the end).
+    std::size_t lo = base, hi = base, step = 1;
+    while (hi < b.size() && b[hi] < x) {
+      lo = hi + 1;
+      hi = lo + step;
+      step <<= 1;
+    }
+    hi = std::min(hi, b.size());
+    const auto it = std::lower_bound(b.begin() + static_cast<std::ptrdiff_t>(lo),
+                                     b.begin() + static_cast<std::ptrdiff_t>(hi),
+                                     x);
+    base = static_cast<std::size_t>(it - b.begin());
+    if (base < b.size() && b[base] == x) {
+      ++count;
+      visit(x);
+      ++base;  // keys are strictly ascending; the match can't repeat
+    }
+  }
+  return count;
+}
+
+/// |a ∩ b| via visit_merge_vec, counting only.
 [[nodiscard]] std::uint64_t count_merge_vec(std::span<const VertexId> a,
                                             std::span<const VertexId> b);
 
-/// |a ∩ b| via galloping search: each key of the shorter list exponentially
-/// advances a shared cursor in the longer list, then binary-searches the
-/// bracketed window. Wins when one list dwarfs the other (hub vs leaf).
+/// |a ∩ b| via visit_gallop, counting only.
 [[nodiscard]] std::uint64_t count_gallop(std::span<const VertexId> a,
                                          std::span<const VertexId> b);
 
@@ -71,7 +146,31 @@ class RowBitmap {
   }
 
   /// |row ∩ list| for a sorted, duplicate-free `list` (word-batched
-  /// popcount probes; see class comment).
+  /// popcount probes; see class comment), visiting each common id: the set
+  /// bits of each resolved word, lowest first.
+  template <CommonVisitor F>
+  std::uint64_t visit_in(std::span<const VertexId> list, F&& visit) const {
+    std::uint64_t count = 0;
+    std::size_t i = 0;
+    while (i < list.size()) {
+      const std::size_t w = list[i] >> 6;
+      ATLC_DCHECK(w < words_.size(), "probe id outside the bitmap universe");
+      // Gather every candidate landing in this 64-bit word into one mask,
+      // then resolve them all with a single AND + popcount.
+      std::uint64_t mask = 0;
+      do {
+        mask |= std::uint64_t{1} << (list[i] & 63);
+        ++i;
+      } while (i < list.size() && (list[i] >> 6) == w);
+      const std::uint64_t hits = words_[w] & mask;
+      count += static_cast<std::uint64_t>(std::popcount(hits));
+      for (std::uint64_t m = hits; m != 0; m &= m - 1)
+        visit(static_cast<VertexId>(w * 64 + std::countr_zero(m)));
+    }
+    return count;
+  }
+
+  /// |row ∩ list| (visit_in, counting only).
   [[nodiscard]] std::uint64_t count_in(std::span<const VertexId> list) const;
 
   [[nodiscard]] std::size_t row_size() const { return row_size_; }
@@ -130,6 +229,19 @@ class Intersector {
   [[nodiscard]] Outcome intersect(std::span<const VertexId> row,
                                   std::span<const VertexId> other);
 
+  /// intersect(row, other), calling visit(w) for each common id w in the
+  /// same pass. The Outcome is bit-identical to the counting call's: the
+  /// same kernel runs, at the same price.
+  template <CommonVisitor F>
+  Outcome intersect(std::span<const VertexId> row,
+                    std::span<const VertexId> other, F&& visit) {
+    if (tier_ == Tier::Paper)
+      return {visit_common(row, other, method_, visit),
+              cost_.seconds(method_, row.size(), other.size())};
+    return run_tiered(select_tier_kernel(row.size(), other.size(), policy_),
+                      row, other, visit);
+  }
+
   /// |a ∩ b| when NEITHER side is stable — both may alias fetch-ring slots
   /// (the 2D segment engine, where even "this rank's" row segments arrive
   /// through the ring from sibling ranks). Span identity is meaningless for
@@ -140,13 +252,52 @@ class Intersector {
   [[nodiscard]] Outcome intersect_transient(std::span<const VertexId> a,
                                             std::span<const VertexId> b);
 
+  /// intersect_transient(a, b), calling visit(w) for each common id w in
+  /// the same pass; the Outcome is bit-identical to the counting call's.
+  template <CommonVisitor F>
+  Outcome intersect_transient(std::span<const VertexId> a,
+                              std::span<const VertexId> b, F&& visit) {
+    if (tier_ == Tier::Paper)
+      return {visit_common(a, b, method_, visit),
+              cost_.seconds(method_, a.size(), b.size())};
+    TierKernel kernel = select_tier_kernel(a.size(), b.size(), policy_);
+    // No stable row, no amortised build: gallop is the right kernel for
+    // the bitmap-shaped (highly skewed) pairs.
+    if (kernel == TierKernel::Bitmap) kernel = TierKernel::Gallop;
+    return run_tiered(kernel, a, b, visit);
+  }
+
   /// Bitmap (re)builds so far (always 0 under Paper). Per-kernel pair
   /// counts are in the trace, by Outcome::event.
   [[nodiscard]] std::uint64_t bitmap_builds() const { return bitmap_builds_; }
 
  private:
+  template <CommonVisitor F>
   Outcome run_tiered(TierKernel kernel, std::span<const VertexId> a,
-                     std::span<const VertexId> b);
+                     std::span<const VertexId> b, F& visit) {
+    Outcome out;
+    switch (kernel) {
+      case TierKernel::Bitmap:
+        out.seconds += bitmap_for(a);
+        out.common = bitmap_.visit_in(b, visit);
+        out.event = "intersect_bitmap";
+        break;
+      case TierKernel::Gallop:
+        out.common = visit_gallop(a, b, visit);
+        out.event = "intersect_gallop";
+        break;
+      case TierKernel::MergeVec:
+        out.common = visit_merge_vec(a, b, visit);
+        out.event = "intersect_merge";
+        break;
+    }
+    out.seconds += cost_.seconds_tiered(kernel, a.size(), b.size());
+    return out;
+  }
+
+  /// Makes the bitmap hold `row`, rebuilding it unless it already does;
+  /// returns the modeled cost of the build (0 on reuse).
+  double bitmap_for(std::span<const VertexId> row);
 
   Method method_;
   Tier tier_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "atlc/graph/dodg.hpp"
 #include "atlc/util/check.hpp"
 
 namespace atlc::core {
@@ -9,13 +10,15 @@ namespace atlc::core {
 DistGraph build_dist_graph(rma::RankCtx& ctx, const CSRGraph& global,
                            const Partition& partition,
                            const graph::HubReplica* hubs,
-                           const LocalSliceSource* slice) {
+                           const LocalSliceSource* slice, bool dodg) {
   ATLC_CHECK(partition.num_ranks() == ctx.num_ranks(),
              "partition rank count must match runtime");
   ATLC_CHECK(partition.num_vertices() == global.num_vertices(),
              "partition vertex count must match graph");
 
-  DistGraph dg{partition, global.directedness(), {}, {}, {}, {}, {}};
+  DistGraph dg{partition,
+               dodg ? Directedness::Directed : global.directedness(),
+               {}, {}, {}, {}, {}};
 
   const VertexId n_local = partition.part_size(ctx.rank());
   if (slice != nullptr) {
@@ -44,6 +47,29 @@ DistGraph build_dist_graph(rma::RankCtx& ctx, const CSRGraph& global,
       dg.adjacencies.insert(dg.adjacencies.end(), seg_lo, seg_hi);
       dg.offsets.push_back(dg.adjacencies.size());
     }
+  }
+
+  if (dodg) {
+    ATLC_CHECK(global.directedness() == Directedness::Undirected,
+               "DODG orientation expects the undirected graph");
+    // Keep arc u->v iff u precedes v in the (deg, id) order. Compacting in
+    // place keeps each row sorted; a Grid2D segment stays inside its
+    // column block.
+    EdgeIndex kept = 0, begin = 0;
+    for (VertexId lv = 0; lv < n_local; ++lv) {
+      const VertexId u = partition.global_id(ctx.rank(), lv);
+      const VertexId du = global.degree(u);
+      const EdgeIndex end = dg.offsets[lv + 1];
+      for (EdgeIndex e = begin; e < end; ++e) {
+        const VertexId v = dg.adjacencies[e];
+        if (graph::dodg_precedes(du, u, global.degree(v), v))
+          dg.adjacencies[kept++] = v;
+      }
+      begin = end;
+      dg.offsets[lv + 1] = kept;
+    }
+    dg.adjacencies.resize(kept);
+    dg.adjacencies.shrink_to_fit();
   }
 
   if (hubs && !hubs->empty()) {

@@ -28,6 +28,12 @@ const char* tier_name(Tier t) {
   return "?";
 }
 
+std::optional<Tier> parse_tier(std::string_view name) {
+  for (const Tier t : {Tier::Paper, Tier::Tiered})
+    if (name == tier_name(t)) return t;
+  return std::nullopt;
+}
+
 const char* tier_kernel_name(TierKernel k) {
   switch (k) {
     case TierKernel::MergeVec: return "merge_vec";
@@ -48,30 +54,12 @@ TierKernel select_tier_kernel(std::size_t row_len, std::size_t other_len,
 
 std::uint64_t count_binary(std::span<const VertexId> a,
                            std::span<const VertexId> b) {
-  // Keys from the shorter list, search tree over the longer one.
-  if (a.size() > b.size()) std::swap(a, b);
-  std::uint64_t counter = 0;
-  for (VertexId x : a)
-    if (std::binary_search(b.begin(), b.end(), x)) ++counter;
-  return counter;
+  return visit_binary(a, b, CountOnly{});
 }
 
 std::uint64_t count_ssi(std::span<const VertexId> a,
                         std::span<const VertexId> b) {
-  std::uint64_t counter = 0;
-  std::size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] == b[j]) {
-      ++counter;
-      ++i;
-      ++j;
-    } else if (a[i] < b[j]) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return counter;
+  return visit_ssi(a, b, CountOnly{});
 }
 
 bool prefer_ssi(std::size_t len_a, std::size_t len_b) {
@@ -85,17 +73,12 @@ bool prefer_ssi(std::size_t len_a, std::size_t len_b) {
 
 std::uint64_t count_hybrid(std::span<const VertexId> a,
                            std::span<const VertexId> b) {
-  return prefer_ssi(a.size(), b.size()) ? count_ssi(a, b) : count_binary(a, b);
+  return visit_hybrid(a, b, CountOnly{});
 }
 
 std::uint64_t count_common(std::span<const VertexId> a,
                            std::span<const VertexId> b, Method m) {
-  switch (m) {
-    case Method::Binary: return count_binary(a, b);
-    case Method::SSI: return count_ssi(a, b);
-    case Method::Hybrid: return count_hybrid(a, b);
-  }
-  return 0;
+  return visit_common(a, b, m, CountOnly{});
 }
 
 std::span<const VertexId> suffix_above(std::span<const VertexId> s,

@@ -1,73 +1,17 @@
 #include "atlc/intersect/tiered.hpp"
 
-#include <algorithm>
-#include <bit>
-
 #include "atlc/util/check.hpp"
 
 namespace atlc::intersect {
 
 std::uint64_t count_merge_vec(std::span<const VertexId> a,
                               std::span<const VertexId> b) {
-  const std::size_t na = a.size(), nb = b.size();
-  std::uint64_t count = 0;
-  std::size_t i = 0, k = 0;
-  // Quad-skip main loop: when one side's next four elements all sit below
-  // the other side's cursor, skip them wholesale (one compare per four
-  // elements on disjoint stretches); otherwise take one branch-reduced
-  // step — the equality/advance decisions become flag-setting arithmetic
-  // instead of an unpredictable three-way branch.
-  while (i + 4 <= na && k + 4 <= nb) {
-    if (a[i + 3] < b[k]) {
-      i += 4;
-      continue;
-    }
-    if (b[k + 3] < a[i]) {
-      k += 4;
-      continue;
-    }
-    const VertexId x = a[i], y = b[k];
-    count += (x == y);
-    i += (x <= y);
-    k += (y <= x);
-  }
-  // Branch-reduced tail for the final < 4 elements of either side (the
-  // SIMD-width-straddling lengths the differential harness pins down).
-  while (i < na && k < nb) {
-    const VertexId x = a[i], y = b[k];
-    count += (x == y);
-    i += (x <= y);
-    k += (y <= x);
-  }
-  return count;
+  return visit_merge_vec(a, b, CountOnly{});
 }
 
 std::uint64_t count_gallop(std::span<const VertexId> a,
                            std::span<const VertexId> b) {
-  // Keys from the shorter list, galloped cursor over the longer one.
-  if (a.size() > b.size()) std::swap(a, b);
-  std::uint64_t count = 0;
-  std::size_t base = 0;  // b[0, base) is strictly below the current key
-  for (const VertexId x : a) {
-    if (base >= b.size()) break;
-    // Exponential advance: grow the window until b[hi] >= x (or the end).
-    std::size_t lo = base, hi = base, step = 1;
-    while (hi < b.size() && b[hi] < x) {
-      lo = hi + 1;
-      hi = lo + step;
-      step <<= 1;
-    }
-    hi = std::min(hi, b.size());
-    const auto it = std::lower_bound(b.begin() + static_cast<std::ptrdiff_t>(lo),
-                                     b.begin() + static_cast<std::ptrdiff_t>(hi),
-                                     x);
-    base = static_cast<std::size_t>(it - b.begin());
-    if (base < b.size() && b[base] == x) {
-      ++count;
-      ++base;  // keys are strictly ascending; the match can't repeat
-    }
-  }
-  return count;
+  return visit_gallop(a, b, CountOnly{});
 }
 
 void RowBitmap::build(std::span<const VertexId> row, VertexId universe) {
@@ -90,69 +34,24 @@ void RowBitmap::build(std::span<const VertexId> row, VertexId universe) {
 }
 
 std::uint64_t RowBitmap::count_in(std::span<const VertexId> list) const {
-  std::uint64_t count = 0;
-  std::size_t i = 0;
-  while (i < list.size()) {
-    const std::size_t w = list[i] >> 6;
-    ATLC_DCHECK(w < words_.size(), "probe id outside the bitmap universe");
-    // Gather every candidate landing in this 64-bit word into one mask,
-    // then resolve them all with a single AND + popcount.
-    std::uint64_t mask = 0;
-    do {
-      mask |= std::uint64_t{1} << (list[i] & 63);
-      ++i;
-    } while (i < list.size() && (list[i] >> 6) == w);
-    count += static_cast<std::uint64_t>(std::popcount(words_[w] & mask));
-  }
-  return count;
+  return visit_in(list, CountOnly{});
 }
 
 Intersector::Outcome Intersector::intersect(std::span<const VertexId> row,
                                             std::span<const VertexId> other) {
-  if (tier_ == Tier::Paper)
-    return {count_common(row, other, method_),
-            cost_.seconds(method_, row.size(), other.size())};
-  return run_tiered(select_tier_kernel(row.size(), other.size(), policy_),
-                    row, other);
+  return intersect(row, other, CountOnly{});
 }
 
 Intersector::Outcome Intersector::intersect_transient(
     std::span<const VertexId> a, std::span<const VertexId> b) {
-  if (tier_ == Tier::Paper)
-    return {count_common(a, b, method_),
-            cost_.seconds(method_, a.size(), b.size())};
-  TierKernel kernel = select_tier_kernel(a.size(), b.size(), policy_);
-  // No stable row, no amortised build: gallop is the right kernel for the
-  // bitmap-shaped (highly skewed) pairs.
-  if (kernel == TierKernel::Bitmap) kernel = TierKernel::Gallop;
-  return run_tiered(kernel, a, b);
+  return intersect_transient(a, b, CountOnly{});
 }
 
-Intersector::Outcome Intersector::run_tiered(TierKernel kernel,
-                                             std::span<const VertexId> a,
-                                             std::span<const VertexId> b) {
-  Outcome out;
-  switch (kernel) {
-    case TierKernel::Bitmap:
-      if (!bitmap_.built_for(a)) {
-        bitmap_.build(a, universe_);
-        out.seconds += cost_.seconds_bitmap_build(a.size());
-        ++bitmap_builds_;
-      }
-      out.common = bitmap_.count_in(b);
-      out.event = "intersect_bitmap";
-      break;
-    case TierKernel::Gallop:
-      out.common = count_gallop(a, b);
-      out.event = "intersect_gallop";
-      break;
-    case TierKernel::MergeVec:
-      out.common = count_merge_vec(a, b);
-      out.event = "intersect_merge";
-      break;
-  }
-  out.seconds += cost_.seconds_tiered(kernel, a.size(), b.size());
-  return out;
+double Intersector::bitmap_for(std::span<const VertexId> row) {
+  if (bitmap_.built_for(row)) return 0.0;
+  bitmap_.build(row, universe_);
+  ++bitmap_builds_;
+  return cost_.seconds_bitmap_build(row.size());
 }
 
 }  // namespace atlc::intersect

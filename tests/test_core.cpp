@@ -188,6 +188,7 @@ TEST(Lcc, AllIntersectionMethodsAgree) {
   for (auto m : {intersect::Method::Binary, intersect::Method::SSI,
                  intersect::Method::Hybrid}) {
     EngineConfig cfg;
+    cfg.intersect_tier = intersect::Tier::Paper;  // `method` picks its kernel
     cfg.method = m;
     expect_matches_reference(g, run_distributed_lcc(g, 2, cfg));
   }
@@ -210,14 +211,51 @@ TEST(Tc, UpperTriangleGlobalCountMatches) {
   for (std::uint64_t seed : {11, 12, 13}) {
     const CSRGraph g = rmat_graph(8, 8, seed);
     const auto ref = graph::reference_lcc(g);
-    EXPECT_EQ(run_distributed_tc(g, 4), ref.global_triangles) << seed;
+    EXPECT_EQ(run_distributed_tc_result(g, 4, {}, {},
+                                        graph::PartitionKind::Block1D,
+                                        /*orient_dodg=*/false)
+                  .global_triangles,
+              ref.global_triangles)
+        << seed;
+  }
+}
+
+// Both TC paths report t(v) per vertex and the reference's LCC score bit
+// for bit: the upper-triangle pass counts each triangle once at each
+// corner, the DODG pass credits all three corners of each triangle it
+// finds at its least arc. Under either kernel generation, with and
+// without the cache.
+TEST(Tc, PerVertexMatchesReferenceOnBothPaths) {
+  const CSRGraph graphs[] = {paper_example(),
+                             rmat_graph(8, 8, 15)};
+  for (const CSRGraph& g : graphs) {
+    for (const bool dodg : {false, true}) {
+      for (const auto tier : {intersect::Tier::Paper, intersect::Tier::Tiered}) {
+        for (const bool cache : {false, true}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "dodg=" << dodg << " tier="
+                       << intersect::tier_name(tier) << " cache=" << cache);
+          EngineConfig cfg;
+          cfg.intersect_tier = tier;
+          cfg.use_cache = cache;
+          testsupport::expect_tc_matches_reference(
+              g, run_distributed_tc_result(g, 4, cfg, {},
+                                           graph::PartitionKind::Block1D,
+                                           dodg));
+        }
+      }
+    }
   }
 }
 
 TEST(Tc, DirectedTransitiveTriads) {
   const CSRGraph g = rmat_graph(7, 8, 14, Directedness::Directed);
   const auto ref = graph::reference_lcc(g);
-  EXPECT_EQ(run_distributed_tc(g, 3), ref.global_triangles);
+  const auto r = run_distributed_tc_result(g, 3);
+  EXPECT_EQ(r.global_triangles, ref.global_triangles);
+  // Directed graphs are never oriented: the edge-centric per-vertex count.
+  EXPECT_TRUE(r.triangles == ref.triangles);
+  EXPECT_TRUE(r.lcc == ref.lcc);
 }
 
 // -------------------------------------------------------- paper behaviour ---

@@ -146,7 +146,7 @@ TEST(DegenerateGraphs, CompleteGraphEveryEngine) {
   const auto g = CSRGraph::from_edges(e);
   const std::uint64_t expect = 8 * 7 * 6 / 6;  // C(8,3)
   EXPECT_EQ(core::run_distributed_lcc(g, 3).global_triangles, expect);
-  EXPECT_EQ(core::run_distributed_tc(g, 5), expect);
+  EXPECT_EQ(core::run_distributed_tc_result(g, 5).global_triangles, expect);
   EXPECT_EQ(tric::run_tric(g, 3).global_triangles, expect);
 }
 

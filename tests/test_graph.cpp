@@ -1071,17 +1071,21 @@ TEST(Dodg, TcMatchesUndirectedReferenceAcrossRanks) {
   for (const CSRGraph& g : fixtures) {
     const auto expected = reference_lcc(g).global_triangles;
     for (const std::uint32_t ranks : {1u, 2u, 4u, 8u}) {
-      EXPECT_EQ(core::run_distributed_tc(g, ranks, {}, {},
-                                         PartitionKind::Block1D,
-                                         /*orient_dodg=*/true),
+      core::EngineConfig paper_cfg;
+      paper_cfg.intersect_tier = intersect::Tier::Paper;
+      EXPECT_EQ(core::run_distributed_tc_result(g, ranks, paper_cfg, {},
+                                                PartitionKind::Block1D,
+                                                /*orient_dodg=*/true)
+                    .global_triangles,
                 expected)
           << "ranks " << ranks;
       // The tiered kernels must agree on the same oriented stream.
       core::EngineConfig tiered_cfg;
       tiered_cfg.intersect_tier = intersect::Tier::Tiered;
-      EXPECT_EQ(core::run_distributed_tc(g, ranks, tiered_cfg, {},
-                                         PartitionKind::Block1D,
-                                         /*orient_dodg=*/true),
+      EXPECT_EQ(core::run_distributed_tc_result(g, ranks, tiered_cfg, {},
+                                                PartitionKind::Block1D,
+                                                /*orient_dodg=*/true)
+                    .global_triangles,
                 expected)
           << "ranks " << ranks << " (tiered)";
     }

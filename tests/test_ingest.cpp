@@ -3,6 +3,7 @@
 // load+clean path, partition-slice equivalence, spill-path byte identity,
 // and the corruption/back-compat matrix of the v2 container.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdint>
@@ -31,8 +32,23 @@ using graph::Directedness;
 using graph::Edge;
 using graph::VertexId;
 
+/// This process's scratch directory, removed at exit. The process id in
+/// its name keeps two test_ingest runs at once (two build trees under one
+/// parallel ctest) from overwriting each other's files.
+struct ScratchDir {
+  std::filesystem::path path =
+      std::filesystem::path(::testing::TempDir()) /
+      ("atlc_ingest_" + std::to_string(::getpid()));
+  ScratchDir() { std::filesystem::create_directories(path); }
+  ~ScratchDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
+};
+
 std::string tmp_path(const std::string& name) {
-  return ::testing::TempDir() + "atlc_ingest_" + name;
+  static const ScratchDir dir;
+  return (dir.path / name).string();
 }
 
 void write_file(const std::string& path, const std::string& content) {
@@ -420,9 +436,22 @@ TEST(Ingest, EngineResultsBitIdenticalViaSliceSource) {
         << graph::partition_kind_name(kind);
     EXPECT_TRUE(ooc.lcc == mem.lcc) << graph::partition_kind_name(kind);
 
-    EXPECT_EQ(core::run_distributed_tc(g, 8, ooc_cfg, {}, kind),
-              core::run_distributed_tc(g, 8, mem_cfg, {}, kind))
-        << graph::partition_kind_name(kind);
+    // Both TC paths: the DODG ranks orient the snapshot's undirected
+    // slices exactly as they orient the in-memory ones.
+    for (const bool dodg : {false, true}) {
+      const auto tc_mem =
+          core::run_distributed_tc_result(g, 8, mem_cfg, {}, kind, dodg);
+      const auto tc_ooc =
+          core::run_distributed_tc_result(g, 8, ooc_cfg, {}, kind, dodg);
+      EXPECT_EQ(tc_ooc.global_triangles, tc_mem.global_triangles)
+          << graph::partition_kind_name(kind) << " dodg=" << dodg;
+      EXPECT_TRUE(tc_ooc.triangles == tc_mem.triangles)
+          << graph::partition_kind_name(kind) << " dodg=" << dodg;
+      EXPECT_EQ(tc_ooc.run.makespan, tc_mem.run.makespan)
+          << graph::partition_kind_name(kind) << " dodg=" << dodg;
+      EXPECT_EQ(tc_mem.global_triangles, mem.global_triangles)
+          << graph::partition_kind_name(kind) << " dodg=" << dodg;
+    }
   }
 }
 

@@ -62,6 +62,12 @@ class JaccardRanks : public ::testing::TestWithParam<
     cfg.intersect_tier = std::get<1>(GetParam());
     return cfg;
   }
+  /// The Paper-tier run the Tiered arms must differ from in virtual time.
+  static EngineConfig paper_config() {
+    EngineConfig cfg;
+    cfg.intersect_tier = intersect::Tier::Paper;
+    return cfg;
+  }
 };
 
 TEST_P(JaccardRanks, MatchesReference) {
@@ -72,7 +78,8 @@ TEST_P(JaccardRanks, MatchesReference) {
   for (std::size_t k = 0; k < ref.size(); ++k)
     ASSERT_DOUBLE_EQ(r.score[k], ref[k]) << "slot " << k;
   if (tiered())
-    EXPECT_NE(r.run.makespan, run_distributed_jaccard(g, ranks()).run.makespan);
+    EXPECT_NE(r.run.makespan,
+              run_distributed_jaccard(g, ranks(), paper_config()).run.makespan);
 }
 
 TEST_P(JaccardRanks, OverlapMatchesReference) {
@@ -83,7 +90,8 @@ TEST_P(JaccardRanks, OverlapMatchesReference) {
   for (std::size_t k = 0; k < ref.size(); ++k)
     ASSERT_DOUBLE_EQ(r.score[k], ref[k]) << "slot " << k;
   if (tiered())
-    EXPECT_NE(r.run.makespan, run_distributed_overlap(g, ranks()).run.makespan);
+    EXPECT_NE(r.run.makespan,
+              run_distributed_overlap(g, ranks(), paper_config()).run.makespan);
 }
 
 TEST_P(JaccardRanks, MatchesReferenceCached) {

@@ -52,7 +52,8 @@ std::uint64_t matrix_seed() {
 EngineConfig matrix_config(const graph::CSRGraph& g, bool cached,
                            bool tiered) {
   EngineConfig cfg;
-  if (tiered) cfg.intersect_tier = intersect::Tier::Tiered;
+  cfg.intersect_tier =
+      tiered ? intersect::Tier::Tiered : intersect::Tier::Paper;
   if (cached) {
     cfg.use_cache = true;
     cfg.cache_sizing =
@@ -78,7 +79,9 @@ void sweep_graph(const graph::CSRGraph& g, const char* name) {
           expect_matches_reference(g, lcc);
           // TC exercises the upper-triangle trimming (1D) / per-segment
           // suffix trimming (Grid2D) paths the LCC run does not.
-          EXPECT_EQ(core::run_distributed_tc(g, ranks, cfg, {}, kind),
+          EXPECT_EQ(core::run_distributed_tc_result(g, ranks, cfg, {}, kind,
+                                                    /*orient_dodg=*/false)
+                        .global_triangles,
                     ref.global_triangles);
         }
       }
@@ -98,22 +101,23 @@ TEST(PartitionMatrix, RmatDenserAllConfigs) {
   sweep_graph(rmat_graph(6, 16, matrix_seed() + 1), "rmat_s6_ef16");
 }
 
-// The DODG orientation path (directed rows, no suffix trimming, raw t(v)
-// sums) composes with every partition kind — under Grid2D the oriented rows
-// are segmented like any others.
+// The DODG orientation path (oriented rows, no suffix trimming, three-corner
+// credit) composes with every partition kind — under Grid2D the oriented
+// rows are segmented like any others and the block partials of every corner
+// sum to t(v). Per-vertex counts and LCC scores match the reference.
 TEST(PartitionMatrix, DodgTcAcrossKinds) {
   const auto g = rmat_graph(7, 8, matrix_seed() + 2);
-  const auto ref = graph::reference_lcc(g);
   for (const PartitionKind kind : kKinds) {
     for (const std::uint32_t ranks : kRankCounts) {
-      SCOPED_TRACE(::testing::Message()
-                   << "kind=" << graph::partition_kind_name(kind)
-                   << " ranks=" << ranks);
-      const EngineConfig cfg =
-          matrix_config(g, /*cached=*/true, /*tiered=*/true);
-      EXPECT_EQ(core::run_distributed_tc(g, ranks, cfg, {}, kind,
-                                         /*orient_dodg=*/true),
-                ref.global_triangles);
+      for (const bool tiered : {false, true}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "kind=" << graph::partition_kind_name(kind)
+                     << " ranks=" << ranks << " tiered=" << tiered);
+        const EngineConfig cfg = matrix_config(g, /*cached=*/true, tiered);
+        testsupport::expect_tc_matches_reference(
+            g, core::run_distributed_tc_result(g, ranks, cfg, {}, kind,
+                                               /*orient_dodg=*/true));
+      }
     }
   }
 }

@@ -97,8 +97,9 @@ TEST_P(PipelineDepth, ZeroOutDegreeVerticesFetchedRemotely) {
 TEST_P(PipelineDepth, TcGlobalCountMatches) {
   const CSRGraph g = rmat_graph(8, 8, 35);
   const auto ref = graph::reference_lcc(g);
-  EXPECT_EQ(run_distributed_tc(g, 4, depth_config(GetParam())),
-            ref.global_triangles);
+  EXPECT_EQ(
+      run_distributed_tc_result(g, 4, depth_config(GetParam())).global_triangles,
+      ref.global_triangles);
 }
 
 TEST_P(PipelineDepth, JaccardMatchesReference) {
@@ -163,6 +164,7 @@ TEST(PipelineEquivalence, Depth2MakespanBitIdenticalToLegacyDoubleBuffer) {
   const CSRGraph g = rmat_graph(8, 8, 37);
   for (std::uint32_t ranks : {2u, 4u}) {
     EngineConfig cfg;  // pipeline_depth=2: the paper engine
+    cfg.intersect_tier = intersect::Tier::Paper;  // the legacy loop's kernels
     const double engine = run_distributed_lcc(g, ranks, cfg).run.makespan;
     const double legacy = legacy_two_slot_makespan(g, ranks, cfg);
     EXPECT_EQ(engine, legacy) << "ranks=" << ranks;
@@ -172,6 +174,7 @@ TEST(PipelineEquivalence, Depth2MakespanBitIdenticalToLegacyDoubleBuffer) {
 TEST(PipelineEquivalence, Depth2MakespanBitIdenticalToLegacyCached) {
   const CSRGraph g = rmat_graph(8, 8, 38);
   EngineConfig cfg;
+  cfg.intersect_tier = intersect::Tier::Paper;  // the legacy loop's kernels
   cfg.use_cache = true;
   cfg.cache_sizing = CacheSizing::paper_default(g.num_vertices(), 1 << 18);
   const double engine = run_distributed_lcc(g, 4, cfg).run.makespan;

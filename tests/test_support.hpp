@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <initializer_list>
 #include <utility>
@@ -67,6 +68,22 @@ inline void expect_matches_reference(const graph::CSRGraph& g,
   for (std::size_t v = 0; v < ref.triangles.size(); ++v) {
     ASSERT_EQ(result.triangles[v], ref.triangles[v]) << "vertex " << v;
     ASSERT_DOUBLE_EQ(result.lcc[v], ref.lcc[v]) << "vertex " << v;
+  }
+  EXPECT_EQ(result.global_triangles, ref.global_triangles);
+}
+
+/// The TC record of an undirected graph against the reference: per vertex
+/// t(v) (half the reference's edge-centric count) and an LCC score
+/// bit-identical to the reference's, plus the distinct-triangle total.
+inline void expect_tc_matches_reference(const graph::CSRGraph& g,
+                                        const core::RunResult& result) {
+  const auto ref = graph::reference_lcc(g);
+  ASSERT_EQ(result.triangles.size(), ref.triangles.size());
+  for (std::size_t v = 0; v < ref.triangles.size(); ++v) {
+    ASSERT_EQ(2 * result.triangles[v], ref.triangles[v]) << "vertex " << v;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(result.lcc[v]),
+              std::bit_cast<std::uint64_t>(ref.lcc[v]))
+        << "vertex " << v;
   }
   EXPECT_EQ(result.global_triangles, ref.global_triangles);
 }

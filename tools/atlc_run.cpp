@@ -187,8 +187,8 @@ int run(const util::Cli& cli) {
                      r.lcc[v]);
     }
   } else if (algo == "tc") {
-    const auto r = core::run_distributed_tc_result(g, engine.ranks, cfg, {},
-                                                   engine.partition);
+    const auto r = core::run_distributed_tc_result(
+        g, engine.ranks, cfg, {}, engine.partition, engine.orient_tc());
     engine.finish(r, std::move(extra));
     std::fprintf(out, "global_triangles\n%llu\n",
                  static_cast<unsigned long long>(r.global_triangles));
@@ -216,7 +216,8 @@ int main(int argc, char** argv) {
   tools::add_engine_flags(cli, "block | cyclic | degree1d | grid2d");
   cli.add_flag("directed", "treat the input as directed", false);
   cli.add_string("algo", "lcc | tc | jaccard | overlap | adamic-adar", "lcc");
-  cli.add_string("method", "hybrid | ssi | binary", "hybrid");
+  cli.add_string("method", "hybrid | ssi | binary (--tier paper kernel)",
+                 "hybrid");
   cli.add_int("pipeline-depth",
               "prefetch pipeline depth k (2 = paper double buffering, "
               "1 = no overlap)",

@@ -94,6 +94,11 @@ Graph load_graph(const util::Cli& cli, graph::Directedness dir) {
 void add_engine_flags(util::Cli& cli, const std::string& partition_help) {
   cli.add_int("ranks", "simulated compute nodes", 8);
   cli.add_string("partition", partition_help, "block");
+  cli.add_string("tier",
+                 "tiered (shape-dispatched kernels; TC runs the degree-"
+                 "ordered orientation) | paper (the paper's scalar kernels "
+                 "and upper-triangle TC)",
+                 "tiered");
   cli.add_double("hub-frac",
                  "replicate the adjacency of this fraction of the "
                  "highest-degree vertices on every rank (0 = off)",
@@ -127,15 +132,26 @@ graph::PartitionKind partition_flag(const util::Cli& cli, bool whole_rows) {
   return *kind;
 }
 
+intersect::Tier tier_flag(const util::Cli& cli) {
+  const std::string& name = cli.get_string("tier");
+  const auto tier = intersect::parse_tier(name);
+  if (!tier)
+    throw std::invalid_argument("unknown --tier '" + name +
+                                "' (tiered | paper)");
+  return *tier;
+}
+
 }  // namespace
 
 Engine::Engine(const util::Cli& cli, bool whole_rows)
     : ranks(static_cast<std::uint32_t>(int_flag(cli, "ranks", 1, kMaxRanks))),
       partition(partition_flag(cli, whole_rows)),
+      tier(tier_flag(cli)),
       cli_(cli) {}
 
 core::EngineConfig Engine::config(const Graph& graph) {
   core::EngineConfig cfg;
+  cfg.intersect_tier = tier;
   cfg.hub_fraction = cli_.get_double("hub-frac");
   if (cli_.get_flag("cache")) {
     cfg.use_cache = true;

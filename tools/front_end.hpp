@@ -16,6 +16,7 @@
 #include "atlc/graph/edge_list.hpp"
 #include "atlc/graph/partition.hpp"
 #include "atlc/ingest/snapshot.hpp"
+#include "atlc/intersect/intersect.hpp"
 #include "atlc/obs/trace.hpp"
 #include "atlc/util/cli.hpp"
 #include "atlc/util/json.hpp"
@@ -59,7 +60,8 @@ struct Graph {
 /// input only (binary headers record their own).
 [[nodiscard]] Graph load_graph(const util::Cli& cli, graph::Directedness dir);
 
-/// Registers --ranks, --partition, --hub-frac, --cache, --trace, --stats-json.
+/// Registers --ranks, --partition, --tier, --hub-frac, --cache, --trace,
+/// --stats-json.
 void add_engine_flags(util::Cli& cli, const std::string& partition_help);
 
 /// The checked engine-flag group; build it before loading any graph.
@@ -74,9 +76,19 @@ class Engine {
 
   std::uint32_t ranks;
   graph::PartitionKind partition;
+  /// --tier. `Paper` is the paper's algorithm end to end: its scalar
+  /// kernels, and TC over full rows with the upper-triangle trick rather
+  /// than the degree-ordered orientation (orient_tc()).
+  intersect::Tier tier;
   obs::TraceCollector trace;
 
-  /// The shared config for `graph`: fixed cost model, --hub-frac, and under
+  /// Whether TC runs over the degree-ordered orientation (--tier tiered).
+  [[nodiscard]] bool orient_tc() const {
+    return tier == intersect::Tier::Tiered;
+  }
+
+  /// The shared config for `graph`: fixed cost model, --tier, --hub-frac,
+  /// and under
   /// --cache both CLaMPI windows sized paper_default(|V|, csr_bytes / 2)
   /// with degree scores; plus the tracer and the snapshot's slice index
   /// when its rank count matches.
