@@ -6,7 +6,6 @@
 #include <optional>
 #include <span>
 #include <string_view>
-#include <type_traits>
 #include <utility>
 
 #include "atlc/graph/types.hpp"

@@ -225,16 +225,14 @@ class Intersector {
 
   /// |row ∩ other|. `row` is the side stable for the whole pass (the
   /// rank's local adjacency — the bitmap candidate); `other` the transient
-  /// fetched side, which is only ever probed, never cached.
-  [[nodiscard]] Outcome intersect(std::span<const VertexId> row,
-                                  std::span<const VertexId> other);
-
-  /// intersect(row, other), calling visit(w) for each common id w in the
-  /// same pass. The Outcome is bit-identical to the counting call's: the
+  /// fetched side, which is only ever probed, never cached. `visit(w)` is
+  /// called for each common id w in the same pass (CountOnly, the default,
+  /// visits nothing); the Outcome does not depend on the visitor — the
   /// same kernel runs, at the same price.
-  template <CommonVisitor F>
-  Outcome intersect(std::span<const VertexId> row,
-                    std::span<const VertexId> other, F&& visit) {
+  template <CommonVisitor F = CountOnly>
+  [[nodiscard]] Outcome intersect(std::span<const VertexId> row,
+                                  std::span<const VertexId> other,
+                                  F&& visit = {}) {
     if (tier_ == Tier::Paper)
       return {visit_common(row, other, method_, visit),
               cost_.seconds(method_, row.size(), other.size())};
@@ -248,15 +246,11 @@ class Intersector {
   /// recycled slots — the same pointer holds different contents a few
   /// fetches later — so the bitmap tier is never selected; skewed pairs
   /// gallop, the rest merge. Never touches the bitmap state, so transient
-  /// and row-reuse calls can interleave safely.
+  /// and row-reuse calls can interleave safely. `visit` as in intersect().
+  template <CommonVisitor F = CountOnly>
   [[nodiscard]] Outcome intersect_transient(std::span<const VertexId> a,
-                                            std::span<const VertexId> b);
-
-  /// intersect_transient(a, b), calling visit(w) for each common id w in
-  /// the same pass; the Outcome is bit-identical to the counting call's.
-  template <CommonVisitor F>
-  Outcome intersect_transient(std::span<const VertexId> a,
-                              std::span<const VertexId> b, F&& visit) {
+                                            std::span<const VertexId> b,
+                                            F&& visit = {}) {
     if (tier_ == Tier::Paper)
       return {visit_common(a, b, method_, visit),
               cost_.seconds(method_, a.size(), b.size())};

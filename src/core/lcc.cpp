@@ -90,23 +90,25 @@ void count_triangles(rma::RankCtx& ctx, const DistGraph& dg,
 RunResult run_engine(const CSRGraph& g, std::uint32_t ranks,
                      const EngineConfig& config, const rma::NetworkModel& net,
                      graph::PartitionKind partition_kind, Credit credit) {
-  const bool global_slots = credit == Credit::ThreeCorner;
+  // A ThreeCorner rank credits vertices it does not own, so its partial
+  // spans every global id.
+  const bool dodg = credit == Credit::ThreeCorner;
   RunResult out;
   std::vector<std::vector<std::uint64_t>> partials(ranks);
   static_cast<EdgeAnalyticStats&>(out) = run_edge_analytic(
       g, ranks, config, net, partition_kind,
       [&](rma::RankCtx& ctx, const DistGraph& dg, EdgePipeline& pipeline) {
         auto& tri = partials[ctx.rank()];
-        tri.assign(global_slots ? g.num_vertices() : dg.num_local(), 0);
+        tri.assign(dodg ? g.num_vertices() : dg.num_local(), 0);
         count_triangles(ctx, dg, config, credit, pipeline, tri);
       },
-      /*dodg=*/credit == Credit::ThreeCorner);
+      dodg);
 
   const Partition part = graph::make_partition(g, partition_kind, ranks);
   out.triangles.assign(g.num_vertices(), 0);
   for (std::uint32_t r = 0; r < ranks; ++r)
     for (VertexId i = 0; i < static_cast<VertexId>(partials[r].size()); ++i)
-      out.triangles[global_slots ? i : part.global_id(r, i)] += partials[r][i];
+      out.triangles[dodg ? i : part.global_id(r, i)] += partials[r][i];
 
   // lcc_score takes the edge-centric count, which is 2·t(v) on undirected
   // graphs; the TC credits yield t(v) itself.

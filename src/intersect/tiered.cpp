@@ -37,16 +37,6 @@ std::uint64_t RowBitmap::count_in(std::span<const VertexId> list) const {
   return visit_in(list, CountOnly{});
 }
 
-Intersector::Outcome Intersector::intersect(std::span<const VertexId> row,
-                                            std::span<const VertexId> other) {
-  return intersect(row, other, CountOnly{});
-}
-
-Intersector::Outcome Intersector::intersect_transient(
-    std::span<const VertexId> a, std::span<const VertexId> b) {
-  return intersect_transient(a, b, CountOnly{});
-}
-
 double Intersector::bitmap_for(std::span<const VertexId> row) {
   if (bitmap_.built_for(row)) return 0.0;
   bitmap_.build(row, universe_);

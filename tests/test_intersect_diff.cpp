@@ -1,8 +1,10 @@
-// Randomized differential harness for every intersection kernel tier
-// (ISSUE 6): binary, SSI, hybrid, branch-reduced merge, galloping search,
-// RowBitmap, for_each_common, count_common_above, and the Intersector
-// dispatch (both tiers) are all cross-checked against a trivial std::set_intersection
-// oracle over >10k seeded pairs. Vectorized/block-skipping kernels break
+// Randomized differential harness for every intersection kernel tier:
+// binary, SSI, hybrid, branch-reduced merge, galloping search, RowBitmap,
+// for_each_common, count_common_above, and the Intersector dispatch (both
+// tiers) are all cross-checked against a trivial std::set_intersection
+// oracle over >10k seeded pairs — in their counting and their visiting
+// forms, which must visit exactly the oracle sequence and return the
+// counting form's result bit for bit. Vectorized/block-skipping kernels break
 // silently on boundary lengths, so the sweep deliberately pins lengths
 // straddling SIMD-width boundaries (7,8,9, 15,16,17, 31,32,33) and the
 // degenerate structures (empty, one-element, disjoint, subset, identical)
@@ -10,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <string_view>
 #include <vector>
@@ -52,6 +55,25 @@ TierPolicy force_gallop() {
 TierPolicy force_merge() {
   return {.bitmap_min_row = static_cast<std::size_t>(-1),
           .gallop_ratio = 1e300};
+}
+
+/// The visiting form of an Intersector call must return the counting
+/// form's Outcome bit for bit and visit exactly the oracle sequence. Each
+/// form runs on its own fresh Intersector, so a bitmap build is priced in
+/// both.
+template <typename Call>
+std::uint64_t check_visiting(const V& common, Call&& call, const char* kernel) {
+  V visited;
+  const Intersector::Outcome counted = call(CountOnly{});
+  const Intersector::Outcome seen =
+      call([&](VertexId x) { visited.push_back(x); });
+  EXPECT_EQ(visited, common) << kernel;
+  EXPECT_EQ(seen.common, counted.common) << kernel;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(seen.seconds),
+            std::bit_cast<std::uint64_t>(counted.seconds))
+      << kernel;
+  EXPECT_STREQ(seen.event, counted.event) << kernel;
+  return 4;
 }
 
 /// Cross-check every kernel tier on one (a, b) pair. All ids must be
@@ -98,6 +120,28 @@ std::uint64_t check_pair(const V& a, const V& b, VertexId universe) {
   EXPECT_EQ(visited, common) << "for_each_common |a|=" << a.size()
                              << " |b|=" << b.size();
 
+  // Every visiting kernel: the oracle sequence, in order, and the count.
+  const auto expect_visits = [&](const char* kernel, auto&& kernel_fn) {
+    V seen;
+    expect(kernel_fn([&](VertexId x) { seen.push_back(x); }), kernel);
+    ++checks;
+    EXPECT_EQ(seen, common) << kernel << " |a|=" << a.size()
+                            << " |b|=" << b.size();
+  };
+  expect_visits("visit_binary", [&](auto&& f) { return visit_binary(a, b, f); });
+  expect_visits("visit_binary/swapped",
+                [&](auto&& f) { return visit_binary(b, a, f); });
+  expect_visits("visit_ssi", [&](auto&& f) { return visit_ssi(a, b, f); });
+  expect_visits("visit_hybrid", [&](auto&& f) { return visit_hybrid(a, b, f); });
+  expect_visits("visit_merge_vec",
+                [&](auto&& f) { return visit_merge_vec(a, b, f); });
+  expect_visits("visit_merge_vec/swapped",
+                [&](auto&& f) { return visit_merge_vec(b, a, f); });
+  expect_visits("visit_gallop", [&](auto&& f) { return visit_gallop(a, b, f); });
+  expect_visits("visit_gallop/swapped",
+                [&](auto&& f) { return visit_gallop(b, a, f); });
+  expect_visits("bitmap.visit_in", [&](auto&& f) { return bm.visit_in(b, f); });
+
   // count_common_above at the boundary floors: below everything, equal to
   // the first/last common element, and above the entire universe.
   V floors = {0, universe};
@@ -127,6 +171,19 @@ std::uint64_t check_pair(const V& a, const V& b, VertexId universe) {
     checks += 2;
     EXPECT_EQ(out.seconds, cost.seconds(m, a.size(), b.size()));
     EXPECT_STREQ(out.event, "intersect");
+    checks += check_visiting(
+        common,
+        [&](auto&& f) {
+          return Intersector(m, Tier::Paper, cost, universe).intersect(a, b, f);
+        },
+        method_name(m));
+    checks += check_visiting(
+        common,
+        [&](auto&& f) {
+          return Intersector(m, Tier::Paper, cost, universe)
+              .intersect_transient(a, b, f);
+        },
+        method_name(m));
   }
 
   // Intersector under the Tiered tier, pinned to each kernel in turn.
@@ -147,6 +204,22 @@ std::uint64_t check_pair(const V& a, const V& b, VertexId universe) {
       EXPECT_STREQ(out.event, f.event);
     ++checks;
     EXPECT_GE(out.seconds, 0.0);
+    checks += check_visiting(
+        common,
+        [&](auto&& visit) {
+          return Intersector(Method::Hybrid, Tier::Tiered, cost, universe,
+                             f.policy)
+              .intersect(a, b, visit);
+        },
+        f.event);
+    checks += check_visiting(
+        common,
+        [&](auto&& visit) {
+          return Intersector(Method::Hybrid, Tier::Tiered, cost, universe,
+                             f.policy)
+              .intersect_transient(a, b, visit);
+        },
+        f.event);
   }
   // The transient entry point never builds a bitmap: bitmap-shaped pairs
   // gallop instead.
@@ -288,6 +361,9 @@ TEST(IntersectDiff, SelectTierKernelRule) {
 TEST(IntersectDiff, TierNamesNamed) {
   EXPECT_STREQ(tier_name(Tier::Paper), "paper");
   EXPECT_STREQ(tier_name(Tier::Tiered), "tiered");
+  EXPECT_EQ(parse_tier("paper"), Tier::Paper);
+  EXPECT_EQ(parse_tier("tiered"), Tier::Tiered);
+  EXPECT_EQ(parse_tier("Tiered"), std::nullopt);
   EXPECT_STREQ(tier_kernel_name(TierKernel::MergeVec), "merge_vec");
   EXPECT_STREQ(tier_kernel_name(TierKernel::Gallop), "gallop");
   EXPECT_STREQ(tier_kernel_name(TierKernel::Bitmap), "bitmap");
