@@ -104,19 +104,24 @@ TEST(PartitionMatrix, RmatDenserAllConfigs) {
 // The DODG orientation path (oriented rows, no suffix trimming, three-corner
 // credit) composes with every partition kind — under Grid2D the oriented
 // rows are segmented like any others and the block partials of every corner
-// sum to t(v). Per-vertex counts and LCC scores match the reference.
+// sum to t(v) — and with replicated (out-)rows of the hubs. Per-vertex
+// counts and LCC scores match the reference.
 TEST(PartitionMatrix, DodgTcAcrossKinds) {
   const auto g = rmat_graph(7, 8, matrix_seed() + 2);
   for (const PartitionKind kind : kKinds) {
     for (const std::uint32_t ranks : kRankCounts) {
       for (const bool tiered : {false, true}) {
-        SCOPED_TRACE(::testing::Message()
-                     << "kind=" << graph::partition_kind_name(kind)
-                     << " ranks=" << ranks << " tiered=" << tiered);
-        const EngineConfig cfg = matrix_config(g, /*cached=*/true, tiered);
-        testsupport::expect_tc_matches_reference(
-            g, core::run_distributed_tc_result(g, ranks, cfg, {}, kind,
-                                               /*orient_dodg=*/true));
+        for (const double hub_fraction : {0.0, 0.25}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "kind=" << graph::partition_kind_name(kind)
+                       << " ranks=" << ranks << " tiered=" << tiered
+                       << " hubs=" << hub_fraction);
+          EngineConfig cfg = matrix_config(g, /*cached=*/true, tiered);
+          cfg.hub_fraction = hub_fraction;
+          testsupport::expect_tc_matches_reference(
+              g, core::run_distributed_tc_result(g, ranks, cfg, {}, kind,
+                                                 /*orient_dodg=*/true));
+        }
       }
     }
   }
