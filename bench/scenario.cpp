@@ -62,7 +62,7 @@ const graph::CSRGraph& ScenarioContext::graph_or_file(
     static std::map<std::string, graph::CSRGraph> cache;
     auto it = cache.find(path);
     if (it != cache.end()) return it->second;
-    auto edges = graph::load_text_edges(path, Directedness::Undirected);
+    auto edges = graph::load_edges(path, Directedness::Undirected);
     graph::clean(edges, {.relabel_seed = 1});
     return cache.emplace(path, CSRGraph::from_edges(edges)).first->second;
   }

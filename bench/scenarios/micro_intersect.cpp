@@ -218,12 +218,11 @@ void run(bench::ScenarioContext& ctx) {
                                         .expect_deterministic = false});
         ctx.rec.add_trial(metric, perf);
       }
-      // Eq. (3) selection quality: hybrid should track the faster kernel.
-      // SSI and binary report different element bases, so compare via the
-      // wall time each would take: ssi walks |A|+|B|, binary probes |A|.
-      const double t_ssi = static_cast<double>(both) / ssi;
-      const double t_bin = static_cast<double>(a.size()) / binary;
-      const char* picks = t_ssi <= t_bin ? "ssi-side" : "binary-side";
+      // The kernel Eq. (3) selects for this shape, to read against the
+      // two measured throughputs.
+      const char* picks = intersect::prefer_ssi(a.size(), b.size())
+                              ? "ssi-side"
+                              : "binary-side";
       table.add_row({util::Table::fmt_int(static_cast<std::uint64_t>(len)),
                      util::Table::fmt_int(static_cast<std::uint64_t>(ratio)),
                      util::Table::fmt(ssi, 2), util::Table::fmt(binary, 2),

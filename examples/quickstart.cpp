@@ -21,15 +21,16 @@ int main(int argc, char** argv) {
   using namespace atlc;
 
   util::Cli cli("quickstart", "minimal LCC computation walkthrough");
-  cli.add_string("graph-file", "optional SNAP-format edge list", "");
+  cli.add_string("graph-file",
+                 "optional edge list (SNAP text or ATLC v1 binary)", "");
   cli.add_int("ranks", "simulated compute nodes", 4);
   if (!cli.parse(argc, argv)) return 1;
 
   // 1. Get a graph: either a real edge list or a synthetic scale-free one.
   graph::EdgeList edges;
   if (!cli.get_string("graph-file").empty()) {
-    edges = graph::load_text_edges(cli.get_string("graph-file"),
-                                   graph::Directedness::Undirected);
+    edges = graph::load_edges(cli.get_string("graph-file"),
+                              graph::Directedness::Undirected);
   } else {
     edges = graph::generate_rmat({.scale = 12, .edge_factor = 8, .seed = 42});
   }

@@ -8,6 +8,7 @@
 
 #include "atlc/core/dist_graph.hpp"
 #include "atlc/graph/edge_list.hpp"
+#include "atlc/graph/io.hpp"
 #include "atlc/graph/partition.hpp"
 #include "atlc/graph/types.hpp"
 
@@ -48,8 +49,8 @@ using graph::VertexId;
 /// size trade-off documented in DESIGN.md §11.
 namespace snapshot_v2 {
 
-constexpr std::uint32_t kMagic = 0x41544c43;  // "ATLC", shared with v1
-constexpr std::uint32_t kVersion = 2;
+constexpr std::uint32_t kMagic = graph::kFileMagic;  // shared with v1
+constexpr std::uint32_t kVersion = graph::kSnapshotVersion;
 constexpr std::uint32_t kKindCount = 4;
 
 // Header field byte offsets (also the corruption-test patch points).
@@ -150,8 +151,8 @@ class SnapshotReader final : public core::LocalSliceSource {
  public:
   explicit SnapshotReader(const std::string& path);
 
-  /// True when the file starts with the v2 magic+version (cheap sniff; the
-  /// full validation happens in the constructor).
+  /// True when graph::sniff_format() calls the file a v2 snapshot (cheap;
+  /// the full validation happens in the constructor).
   [[nodiscard]] static bool sniff(const std::string& path);
 
   [[nodiscard]] VertexId num_vertices() const { return n_; }

@@ -1,18 +1,15 @@
 #include "atlc/ingest/pipeline.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
-#include <unordered_map>
 #include <vector>
 
+#include "atlc/graph/io.hpp"
 #include "atlc/graph/partition.hpp"
 #include "atlc/graph/relabel.hpp"
-#include "atlc/ingest/chunk_reader.hpp"
 #include "atlc/ingest/external_sorter.hpp"
 #include "atlc/obs/trace.hpp"
 #include "atlc/util/check.hpp"
@@ -48,147 +45,53 @@ std::string tmp_prefix(const std::string& output, const std::string& tmp_dir) {
   return (std::filesystem::path(tmp_dir) / out.filename()).string() + ".tmp";
 }
 
-/// First 8 bytes of a file, to dispatch text vs v1 binary vs v2 snapshot.
-struct Sniff {
-  bool has_magic = false;
-  std::uint32_t version = 0;
-};
-
-Sniff sniff_input(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) throw std::runtime_error("atlc: cannot open file: " + path);
-  std::uint32_t magic = 0, version = 0;
-  const bool got = std::fread(&magic, sizeof(magic), 1, f) == 1 &&
-                   std::fread(&version, sizeof(version), 1, f) == 1;
-  std::fclose(f);
-  Sniff s;
-  s.has_magic = got && magic == snapshot_v2::kMagic;
-  s.version = version;
-  return s;
-}
-
-/// Stage-1 text ingest: chunked read, parallel parse, sequential intern in
-/// chunk order (first-appearance compaction must be order-deterministic),
-/// edges pushed into the raw sorter. Undirected input is symmetrized here —
-/// both orientations enter the sort, exactly like EdgeList::symmetrize()
-/// after load_text_edges().
+/// Stage-1 text ingest: the graph layer's text reader (parallel parse,
+/// sequential first-appearance interning) feeds the raw sorter one batch of
+/// windows at a time. Undirected input is symmetrized here — both
+/// orientations enter the sort, exactly like EdgeList::symmetrize() after
+/// load_text_edges().
 void ingest_text(const std::string& input, const IngestOptions& opt,
                  int threads, ExternalEdgeSorter& sorter, IngestReport& rep) {
-  ChunkReader reader(input, opt.chunk_bytes);
-  std::unordered_map<std::uint64_t, VertexId> remap;
-  // File-size heuristic: a SNAP line is rarely under ~4 bytes/id and most
-  // ids repeat; sizing up front avoids rehash storms on large inputs.
-  remap.reserve(static_cast<std::size_t>(
-      std::min<std::uint64_t>(reader.file_bytes() / 24 + 16, 1u << 26)));
-
+  graph::TextEdgeReader reader(input, opt.chunk_bytes, opt.max_vertices,
+                               threads);
   const bool symmetrize = opt.directedness == Directedness::Undirected;
-  // VertexId is 32-bit; the compacted id space can never exceed it, whatever
-  // the caller passes (max_vertices below that is the testability seam).
-  const std::uint64_t id_cap =
-      std::min<std::uint64_t>(opt.max_vertices, 0xffffffffull);
-  const auto intern = [&](std::uint64_t raw) {
-    const auto [it, inserted] =
-        remap.try_emplace(raw, static_cast<VertexId>(remap.size()));
-    if (inserted && remap.size() > id_cap) {
-      throw std::runtime_error("atlc: vertex id space overflow: more than " +
-                               std::to_string(id_cap) +
-                               " distinct vertex ids in " + input);
-    }
-    return it->second;
-  };
-
-  std::vector<TextChunk> chunks(static_cast<std::size_t>(threads));
-  std::vector<std::vector<RawPair>> pairs(chunks.size());
-  std::vector<std::size_t> chunk_lines(chunks.size());
   std::vector<Edge> batch;
-  for (;;) {
-    std::size_t live = 0;
-    while (live < chunks.size() && reader.next(chunks[live])) ++live;
-    if (live == 0) break;
-#ifdef ATLC_INGEST_OMP
-#pragma omp parallel for num_threads(threads) schedule(dynamic, 1)
-#endif
-    for (std::size_t c = 0; c < live; ++c) {
-      pairs[c].clear();
-      chunk_lines[c] = parse_text_chunk(chunks[c].data, pairs[c]);
-    }
-    batch.clear();
-    for (std::size_t c = 0; c < live; ++c) {
-      rep.lines += chunk_lines[c];
-      rep.pairs_parsed += pairs[c].size();
-      for (const RawPair& p : pairs[c]) {
-        // Braced init evaluates left to right: intern(a) before intern(b),
-        // matching the legacy loader's first-appearance order.
-        const Edge e{intern(p.a), intern(p.b)};
-        batch.push_back(e);
-        if (symmetrize && e.u != e.v) batch.push_back({e.v, e.u});
+  while (reader.next(batch)) {
+    if (symmetrize) {
+      const std::size_t parsed = batch.size();
+      for (std::size_t i = 0; i < parsed; ++i) {
+        const Edge e = batch[i];
+        if (e.u != e.v) batch.push_back({e.v, e.u});
       }
     }
     sorter.add(batch);
+    batch.clear();
   }
   rep.input_kind = "text";
+  rep.lines = reader.lines();
+  rep.pairs_parsed = reader.pairs();
   rep.bytes_read = reader.bytes_read();
   rep.raw_edges = sorter.total_edges();
-  rep.vertices_in = static_cast<VertexId>(remap.size());
+  rep.vertices_in = reader.num_vertices();
 }
 
-/// Stage-1 v1-binary ingest: stream the already-compacted edge payload into
-/// the sorter in blocks. No interning, no symmetrization (matching
-/// load_binary_edges), but the same container validation.
-struct FileCloser {
-  void operator()(std::FILE* f) const {
-    if (f) std::fclose(f);
-  }
-};
-
+/// Stage-1 v1-binary ingest: the graph layer's validating binary reader
+/// streams the already-compacted payload into the sorter block by block.
+/// No interning, no symmetrization (matching load_binary_edges).
 Directedness ingest_binary_v1(const std::string& input,
                               ExternalEdgeSorter& sorter, IngestReport& rep) {
-  std::unique_ptr<std::FILE, FileCloser> f(std::fopen(input.c_str(), "rb"));
-  if (!f) throw std::runtime_error("atlc: cannot open file: " + input);
-
-  std::uint32_t header[4] = {};
-  std::uint64_t m = 0;
-  if (std::fread(header, sizeof(header), 1, f.get()) != 1 ||
-      std::fread(&m, sizeof(m), 1, f.get()) != 1)
-    throw std::runtime_error("atlc: truncated binary header: " + input);
-  if (header[2] > 1)
-    throw std::runtime_error("atlc: corrupt directedness flag: " + input);
-  const auto n = static_cast<VertexId>(header[3]);
-
-  if (std::fseek(f.get(), 0, SEEK_END) != 0)
-    throw std::runtime_error("atlc: cannot seek: " + input);
-  const long size = std::ftell(f.get());
-  const std::uint64_t expect =
-      sizeof(header) + sizeof(m) + m * sizeof(Edge);
-  if (size < 0 || static_cast<std::uint64_t>(size) != expect)
-    throw std::runtime_error(
-        "atlc: binary edge list size mismatch (declared " +
-        std::to_string(m) + " edges; truncated or corrupt): " + input);
-  if (std::fseek(f.get(), sizeof(header) + sizeof(m), SEEK_SET) != 0)
-    throw std::runtime_error("atlc: cannot seek: " + input);
-
-  std::vector<Edge> buf;
-  std::uint64_t remaining = m;
-  while (remaining > 0) {
-    const std::size_t want = static_cast<std::size_t>(
-        std::min<std::uint64_t>(remaining, 1u << 16));
-    buf.resize(want);
-    if (std::fread(buf.data(), sizeof(Edge), want, f.get()) != want)
-      throw std::runtime_error("atlc: short read: " + input);
-    for (const Edge& e : buf)
-      if (e.u >= n || e.v >= n)
-        throw std::runtime_error(
-            "atlc: edge endpoint out of range (vertex >= " +
-            std::to_string(n) + "): " + input);
-    sorter.add(buf);
-    remaining -= want;
+  graph::BinaryEdgeReader reader(input);
+  std::vector<Edge> block;
+  while (reader.next(block)) {
+    sorter.add(block);
+    block.clear();
   }
   rep.input_kind = "binary-v1";
-  rep.bytes_read = expect;
-  rep.pairs_parsed = m;
-  rep.raw_edges = m;
-  rep.vertices_in = n;
-  return header[2] ? Directedness::Directed : Directedness::Undirected;
+  rep.bytes_read = reader.file_bytes();
+  rep.pairs_parsed = reader.num_edges();
+  rep.raw_edges = reader.num_edges();
+  rep.vertices_in = reader.num_vertices();
+  return reader.directedness();
 }
 
 /// Replay `sorter`'s merged stream with the dedup/self-loop filter applied
@@ -238,14 +141,11 @@ IngestReport run_ingest(const std::string& input, const std::string& output,
   util::Timer parse_timer;
   ExternalEdgeSorter raw(prefix + ".raw", opt.mem_budget_bytes, threads);
   Directedness dir = opt.directedness;
-  const Sniff sniff = sniff_input(input);
-  if (sniff.has_magic && sniff.version == snapshot_v2::kVersion)
+  const graph::FileFormat format = graph::sniff_format(input);
+  if (format == graph::FileFormat::Snapshot)
     throw std::runtime_error(
         "atlc: input is already a v2 snapshot (nothing to ingest): " + input);
-  if (sniff.has_magic && sniff.version != 1)
-    throw std::runtime_error("atlc: unsupported binary version " +
-                             std::to_string(sniff.version) + ": " + input);
-  if (sniff.has_magic)
+  if (format == graph::FileFormat::Binary)
     dir = ingest_binary_v1(input, raw, rep);
   else
     ingest_text(input, opt, threads, raw, rep);

@@ -17,18 +17,9 @@ using snapshot_v2::kKindCount;
 using snapshot_v2::kMagic;
 using snapshot_v2::kVersion;
 
-struct FileCloser {
-  void operator()(std::FILE* f) const {
-    if (f) std::fclose(f);
-  }
-};
-using File = std::unique_ptr<std::FILE, FileCloser>;
-
-File open_or_throw(const std::string& path, const char* mode) {
-  File f(std::fopen(path.c_str(), mode));
-  if (!f) throw std::runtime_error("atlc: cannot open file: " + path);
-  return f;
-}
+using graph::File;
+using graph::file_size_or_throw;
+using graph::open_or_throw;
 
 void write_bytes(std::FILE* f, const void* data, std::size_t bytes,
                  const std::string& path) {
@@ -66,15 +57,6 @@ void seek_or_throw(std::FILE* f, std::uint64_t offset,
                    const std::string& path) {
   if (std::fseek(f, static_cast<long>(offset), SEEK_SET) != 0)
     throw std::runtime_error("atlc: cannot seek: " + path);
-}
-
-std::uint64_t file_size_or_throw(std::FILE* f, const std::string& path) {
-  if (std::fseek(f, 0, SEEK_END) != 0)
-    throw std::runtime_error("atlc: cannot seek: " + path);
-  const long size = std::ftell(f);
-  if (size < 0) throw std::runtime_error("atlc: cannot stat: " + path);
-  std::rewind(f);
-  return static_cast<std::uint64_t>(size);
 }
 
 }  // namespace
@@ -217,13 +199,7 @@ void SnapshotWriter::finalize(std::span<const VertexId> degrees) {
 // SnapshotReader
 
 bool SnapshotReader::sniff(const std::string& path) {
-  File f(std::fopen(path.c_str(), "rb"));
-  if (!f) return false;
-  std::uint32_t magic = 0, version = 0;
-  if (std::fread(&magic, sizeof(magic), 1, f.get()) != 1 ||
-      std::fread(&version, sizeof(version), 1, f.get()) != 1)
-    return false;
-  return magic == kMagic && version == kVersion;
+  return graph::sniff_format(path) == graph::FileFormat::Snapshot;
 }
 
 SnapshotReader::SnapshotReader(const std::string& path) : path_(path) {

@@ -5,9 +5,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <numeric>
+#include <random>
 #include <set>
 #include <span>
+#include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "atlc/core/engine_config.hpp"
@@ -22,6 +27,7 @@
 #include "atlc/graph/partition.hpp"
 #include "atlc/graph/reference.hpp"
 #include "atlc/graph/relabel.hpp"
+#include "atlc/ingest/pipeline.hpp"
 #include "test_support.hpp"
 
 namespace atlc::graph {
@@ -357,17 +363,30 @@ TEST(Io, TextToBinaryRoundTripPreservesTriangles) {
   std::remove(bin_path.c_str());
 }
 
-/// Expect load_binary_edges(path) to throw with `needle` in the message.
-void expect_binary_load_error(const std::string& path,
-                              const std::string& needle) {
+using Loader = std::function<void(const std::string&)>;
+
+/// The two readers of a v1 file: the in-memory loader and the ingest
+/// pipeline.
+void load_v1(const std::string& path) { (void)load_binary_edges(path); }
+void ingest_v1(const std::string& path) {
+  (void)ingest::run_ingest(path, path + ".v2", {});
+}
+
+/// Expect `load(path)` to throw with `needle` in the message; returns the
+/// message.
+std::string expect_binary_load_error(const Loader& load,
+                                     const std::string& path,
+                                     const std::string& needle) {
   try {
-    (void)load_binary_edges(path);
+    load(path);
     ADD_FAILURE() << "no exception for " << path << " (wanted '" << needle
                   << "')";
   } catch (const std::runtime_error& err) {
     EXPECT_NE(std::string(err.what()).find(needle), std::string::npos)
         << "message was: " << err.what();
+    return err.what();
   }
+  return {};
 }
 
 class IoCorruption : public ::testing::Test {
@@ -386,7 +405,10 @@ class IoCorruption : public ::testing::Test {
     ASSERT_EQ(std::fread(blob_.data(), 1, blob_.size(), f), blob_.size());
     std::fclose(f);
   }
-  void TearDown() override { std::remove(path_.c_str()); }
+  void TearDown() override {
+    std::remove(path_.c_str());
+    std::remove((path_ + ".v2").c_str());
+  }
 
   void write_blob(const std::vector<unsigned char>& bytes) {
     std::FILE* f = std::fopen(path_.c_str(), "wb");
@@ -396,40 +418,65 @@ class IoCorruption : public ::testing::Test {
     std::fclose(f);
   }
 
+  /// load_binary_edges and run_ingest reject the file with one message.
+  void expect_rejected(const std::string& needle) {
+    EXPECT_EQ(expect_binary_load_error(load_v1, path_, needle),
+              expect_binary_load_error(ingest_v1, path_, needle));
+  }
+
   std::string path_;
   std::vector<unsigned char> blob_;
 };
 
 TEST_F(IoCorruption, TruncatedHeaderThrows) {
   write_blob({blob_.begin(), blob_.begin() + 10});
-  expect_binary_load_error(path_, "truncated header");
+  expect_rejected("truncated header");
 }
 
 TEST_F(IoCorruption, TruncatedPayloadThrows) {
   // Drop the last 6 bytes: the declared count no longer matches the size.
   write_blob({blob_.begin(), blob_.end() - 6});
-  expect_binary_load_error(path_, "truncated or corrupt");
+  expect_rejected("truncated or corrupt");
 }
 
 TEST_F(IoCorruption, TrailingGarbageThrows) {
   auto bytes = blob_;
   bytes.insert(bytes.end(), {0xde, 0xad, 0xbe, 0xef});
   write_blob(bytes);
-  expect_binary_load_error(path_, "truncated or corrupt");
+  expect_rejected("truncated or corrupt");
 }
 
 TEST_F(IoCorruption, BadMagicThrows) {
   auto bytes = blob_;
   bytes[0] ^= 0xff;
   write_blob(bytes);
-  expect_binary_load_error(path_, "bad magic");
+  // Without the magic the file is text to every sniffing reader (ingest
+  // included); only the explicit v1 loader can call the magic bad.
+  (void)expect_binary_load_error(load_v1, path_, "bad magic");
 }
 
 TEST_F(IoCorruption, UnsupportedVersionThrows) {
   auto bytes = blob_;
   bytes[4] = 0x7f;  // version word (little-endian low byte)
   write_blob(bytes);
-  expect_binary_load_error(path_, "unsupported binary edge-list version");
+  expect_rejected("unsupported binary edge-list version");
+}
+
+TEST_F(IoCorruption, CorruptDirectednessThrows) {
+  auto bytes = blob_;
+  bytes[8] = 0x02;  // directedness word: only 0 and 1 are valid
+  write_blob(bytes);
+  expect_rejected("corrupt directedness flag");
+}
+
+TEST_F(IoCorruption, HugeEdgeCountThrows) {
+  // A bare header declaring 2^61 edges: 24 + 2^61 * 8 wraps to 24 bytes,
+  // the file's true size.
+  std::vector<unsigned char> bytes(blob_.begin(), blob_.begin() + 24);
+  for (std::size_t i = 16; i < 24; ++i) bytes[i] = 0;  // edge count word
+  bytes[23] = 0x20;  // its most significant byte (little-endian): 2^61
+  write_blob(bytes);
+  expect_rejected("truncated or corrupt");
 }
 
 TEST_F(IoCorruption, OutOfRangeEndpointThrows) {
@@ -441,7 +488,7 @@ TEST_F(IoCorruption, OutOfRangeEndpointThrows) {
   bytes[payload + 2] = 0xff;
   bytes[payload + 3] = 0xff;
   write_blob(bytes);
-  expect_binary_load_error(path_, "endpoint out of range");
+  expect_rejected("endpoint out of range");
 }
 
 TEST(Io, LoadEdgesSniffsFormat) {
@@ -454,6 +501,219 @@ TEST(Io, LoadEdgesSniffsFormat) {
   const EdgeList t = load_edges(text_path, Directedness::Undirected);
   EXPECT_EQ(reference_lcc(CSRGraph::from_edges(t)).global_triangles, 1u);
   std::remove(text_path.c_str());
+}
+
+// ---------------------------------------------------------- text reader ---
+
+/// Write `content` to `name` under the test temp dir; returns the path.
+std::string write_temp(const std::string& name, const std::string& content) {
+  const std::string path = ::testing::TempDir() + name;
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  EXPECT_NE(f, nullptr) << path;
+  if (f == nullptr) return path;
+  EXPECT_EQ(std::fwrite(content.data(), 1, content.size(), f),
+            content.size());
+  std::fclose(f);
+  return path;
+}
+
+TEST(Io, LongCommentLineIsOneLine) {
+  // A '#' line longer than any fixed line buffer must not leak its tail
+  // ("777 888") into the edge list.
+  const std::string path = write_temp(
+      "atlc_long_comment.txt", "# SNAP header, long:" +
+                                   std::string(234, ' ') +
+                                   "777 888\n1 2\n2 3\n");
+  const EdgeList e = load_text_edges(path, Directedness::Directed);
+  EXPECT_EQ(e.num_vertices(), 3u);
+  EXPECT_EQ(e.num_edges(), 2u);
+  std::remove(path.c_str());
+}
+
+TEST(ChunkReader, StitchesChunksToLineBoundaries) {
+  const std::string content =
+      "# header\n0 1\n12 345\nlonger line with words\n6 7\n";
+  const std::string path = write_temp("atlc_stitch.txt", content);
+
+  for (std::size_t chunk : {std::size_t{1}, std::size_t{3}, std::size_t{7},
+                            std::size_t{4096}}) {
+    ChunkReader reader(path, chunk);
+    EXPECT_EQ(reader.file_bytes(), content.size());
+    std::string concat;
+    TextChunk c;
+    while (reader.next(c)) {
+      ASSERT_FALSE(c.data.empty());
+      EXPECT_EQ(c.file_offset, concat.size());
+      EXPECT_EQ(c.data.back(), '\n') << "chunk size " << chunk;
+      concat += c.data;
+    }
+    EXPECT_EQ(concat, content) << "chunk size " << chunk;
+    EXPECT_EQ(reader.bytes_read(), content.size());
+  }
+  std::remove(path.c_str());
+}
+
+TEST(ChunkReader, GrowsWindowForOversizedLines) {
+  std::string content = "1 2\n";
+  content += std::string(300, 'x');  // one 300-byte junk line
+  content += "\n3 4\n";
+  const std::string path = write_temp("atlc_oversize.txt", content);
+
+  ChunkReader reader(path, 8);
+  std::string concat;
+  TextChunk c;
+  while (reader.next(c)) concat += c.data;
+  EXPECT_EQ(concat, content);
+  std::remove(path.c_str());
+}
+
+TEST(ChunkReader, FinalLineWithoutNewline) {
+  const std::string content = "0 1\n2 3";  // no trailing newline
+  const std::string path = write_temp("atlc_nonl.txt", content);
+
+  ChunkReader reader(path, 4);
+  std::string concat;
+  TextChunk c;
+  while (reader.next(c)) concat += c.data;
+  EXPECT_EQ(concat, content);
+  std::remove(path.c_str());
+}
+
+TEST(ParseTextChunk, MirrorsLegacyScanfSemantics) {
+  const std::string text =
+      "# comment\n"
+      "% comment\n"
+      "\n"
+      "1 2\n"
+      "  3\t 4 trailing junk\n"
+      "+5 6\n"
+      "-1 7\n"           // strtoull wraps negatives
+      "-99999999999999999999 5\n"  // ...but saturates on overflow
+      "no numbers\n"
+      "8\n"              // only one integer: skipped
+      "9 10";            // final line without newline
+  std::vector<RawPair> pairs;
+  const std::size_t lines = parse_text_chunk(text, pairs);
+  EXPECT_EQ(lines, 11u);
+  ASSERT_EQ(pairs.size(), 6u);
+  EXPECT_EQ(pairs[0].a, 1u);
+  EXPECT_EQ(pairs[0].b, 2u);
+  EXPECT_EQ(pairs[1].a, 3u);
+  EXPECT_EQ(pairs[1].b, 4u);
+  EXPECT_EQ(pairs[2].a, 5u);
+  EXPECT_EQ(pairs[2].b, 6u);
+  EXPECT_EQ(pairs[3].a, ~std::uint64_t{0});
+  EXPECT_EQ(pairs[3].b, 7u);
+  EXPECT_EQ(pairs[4].a, ~std::uint64_t{0});
+  EXPECT_EQ(pairs[4].b, 5u);
+  EXPECT_EQ(pairs[5].a, 9u);
+  EXPECT_EQ(pairs[5].b, 10u);
+}
+
+using PairList = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+
+/// The reference SNAP line grammar: one sscanf("%llu %llu") per line, as
+/// the library's loader once did. Counts the lines it sees.
+PairList sscanf_oracle(const std::string& text, std::size_t& lines) {
+  PairList out;
+  lines = 0;
+  std::size_t pos = 0;
+  while (pos < text.size()) {
+    std::size_t nl = text.find('\n', pos);
+    if (nl == std::string::npos) nl = text.size();
+    const std::string line = text.substr(pos, nl - pos);
+    pos = nl + 1;
+    ++lines;
+    if (line.empty() || line[0] == '#' || line[0] == '%') continue;
+    unsigned long long a = 0, b = 0;
+    if (std::sscanf(line.c_str(), "%llu %llu", &a, &b) == 2)
+      out.emplace_back(a, b);
+  }
+  return out;
+}
+
+/// Random SNAP-ish text: lines assembled from signs, every whitespace
+/// byte, comment markers, overflowing digit runs and trailing junk; the
+/// final newline is sometimes missing.
+std::string random_snap_text(std::mt19937_64& rng, int lines) {
+  const auto pick = [&](std::initializer_list<const char*> pieces) {
+    return std::string(pieces.begin()[rng() % pieces.size()]);
+  };
+  const auto digits = [&] {
+    // 1..24 digits: runs past 20 overflow uint64.
+    std::string d(1 + rng() % (rng() % 4 == 0 ? 24 : 6), '0');
+    for (char& c : d) c = static_cast<char>('0' + rng() % 10);
+    return d;
+  };
+  const auto ws = [&] {
+    std::string w;
+    for (std::uint64_t k = rng() % 3; k > 0; --k)
+      w += pick({" ", "\t", "\v", "\f", "\r", " "});
+    return w;
+  };
+  const auto number = [&] {
+    return pick({"", "", "", "+", "-"}) + digits();
+  };
+  std::string text;
+  for (int i = 0; i < lines; ++i) {
+    std::string line = pick({"", "", "", "", "", "#", "%"}) + ws();
+    if (rng() % 16 != 0) line += number();
+    line += rng() % 8 == 0 ? pick({"", "x", "-", "+"}) : " " + ws();
+    if (rng() % 16 != 0) line += number();
+    line += pick({"", "", "", "\r", " junk", "x1", " 7 8", "\t\t"});
+    text += line;
+    if (i + 1 < lines || rng() % 2 == 0) text += '\n';
+  }
+  return text;
+}
+
+TEST(ParseTextChunk, MatchesSscanfOracleOnRandomLines) {
+  for (std::uint64_t seed : {1u, 2u, 3u, 20251022u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937_64 rng(seed);
+    const std::string text = random_snap_text(rng, 1500);
+    std::size_t want_lines = 0;
+    const PairList want = sscanf_oracle(text, want_lines);
+    ASSERT_GT(want.size(), 100u);  // the generator must produce real edges
+    const std::string path = write_temp("atlc_oracle.txt", text);
+
+    // First-appearance compaction of the oracle's pairs: the edges every
+    // reader of this file must produce.
+    std::unordered_map<std::uint64_t, VertexId> ids;
+    std::vector<Edge> want_edges;
+    const auto id = [&](std::uint64_t raw) {
+      return ids.try_emplace(raw, static_cast<VertexId>(ids.size()))
+          .first->second;
+    };
+    for (const auto& [a, b] : want) want_edges.push_back(Edge{id(a), id(b)});
+
+    for (std::size_t window : {std::size_t{1}, std::size_t{7},
+                               std::size_t{64}, std::size_t{4096},
+                               std::size_t{1} << 20}) {
+      SCOPED_TRACE("window " + std::to_string(window));
+      ChunkReader reader(path, window);
+      TextChunk chunk;
+      std::vector<RawPair> raw;
+      std::size_t lines = 0;
+      while (reader.next(chunk)) lines += parse_text_chunk(chunk.data, raw);
+      PairList got;
+      for (const RawPair& p : raw) got.emplace_back(p.a, p.b);
+      EXPECT_EQ(lines, want_lines);
+      EXPECT_TRUE(got == want);
+
+      TextEdgeReader edges_reader(path, window, 0xffffffffull,
+                                  window % 2 == 0 ? 3 : 1);
+      std::vector<Edge> edges;
+      while (edges_reader.next(edges)) {
+      }
+      EXPECT_TRUE(edges == want_edges);
+      EXPECT_EQ(edges_reader.lines(), want_lines);
+      EXPECT_EQ(edges_reader.num_vertices(), ids.size());
+    }
+    const EdgeList loaded = load_text_edges(path, Directedness::Directed);
+    EXPECT_TRUE(loaded.edges() == want_edges);
+    std::remove(path.c_str());
+  }
 }
 
 // ------------------------------------------------------------ partition ---

@@ -1,7 +1,7 @@
-// The out-of-core ingest pipeline (DESIGN.md §11): chunked reading, the
-// parallel/external sort, snapshot v2 round-trips against the in-memory
-// load+clean path, partition-slice equivalence, spill-path byte identity,
-// and the corruption/back-compat matrix of the v2 container.
+// The out-of-core ingest pipeline (DESIGN.md §11): the parallel/external
+// sort, snapshot v2 round-trips against the in-memory load+clean path,
+// partition-slice equivalence, spill-path byte identity, and the
+// corruption/back-compat matrix of the v2 container.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -20,7 +20,6 @@
 #include "atlc/graph/io.hpp"
 #include "atlc/graph/partition.hpp"
 #include "atlc/graph/reference.hpp"
-#include "atlc/ingest/chunk_reader.hpp"
 #include "atlc/ingest/external_sorter.hpp"
 #include "atlc/ingest/pipeline.hpp"
 #include "atlc/ingest/snapshot.hpp"
@@ -103,89 +102,6 @@ void expect_snapshot_equals(const std::string& snap_path,
   std::vector<VertexId> deg(ref_n, 0);
   for (const Edge& e : ref_edges) ++deg[e.u];
   EXPECT_TRUE(reader.degrees() == deg) << "stored degrees differ";
-}
-
-// ---------------------------------------------------------------------------
-// ChunkReader
-
-TEST(ChunkReader, StitchesChunksToLineBoundaries) {
-  const std::string content =
-      "# header\n0 1\n12 345\nlonger line with words\n6 7\n";
-  const std::string path = tmp_path("stitch.txt");
-  write_file(path, content);
-
-  for (std::size_t chunk : {std::size_t{1}, std::size_t{3}, std::size_t{7},
-                            std::size_t{4096}}) {
-    ingest::ChunkReader reader(path, chunk);
-    EXPECT_EQ(reader.file_bytes(), content.size());
-    std::string concat;
-    ingest::TextChunk c;
-    while (reader.next(c)) {
-      ASSERT_FALSE(c.data.empty());
-      EXPECT_EQ(c.file_offset, concat.size());
-      EXPECT_EQ(c.data.back(), '\n') << "chunk size " << chunk;
-      concat += c.data;
-    }
-    EXPECT_EQ(concat, content) << "chunk size " << chunk;
-    EXPECT_EQ(reader.bytes_read(), content.size());
-  }
-}
-
-TEST(ChunkReader, GrowsWindowForOversizedLines) {
-  std::string content = "1 2\n";
-  content += std::string(300, 'x');  // one 300-byte junk line
-  content += "\n3 4\n";
-  const std::string path = tmp_path("oversize.txt");
-  write_file(path, content);
-
-  ingest::ChunkReader reader(path, 8);
-  std::string concat;
-  ingest::TextChunk c;
-  while (reader.next(c)) concat += c.data;
-  EXPECT_EQ(concat, content);
-}
-
-TEST(ChunkReader, FinalLineWithoutNewline) {
-  const std::string content = "0 1\n2 3";  // no trailing newline
-  const std::string path = tmp_path("nonl.txt");
-  write_file(path, content);
-
-  ingest::ChunkReader reader(path, 4);
-  std::string concat;
-  ingest::TextChunk c;
-  while (reader.next(c)) concat += c.data;
-  EXPECT_EQ(concat, content);
-}
-
-// ---------------------------------------------------------------------------
-// parse_text_chunk
-
-TEST(ParseTextChunk, MirrorsLegacyScanfSemantics) {
-  const std::string text =
-      "# comment\n"
-      "% comment\n"
-      "\n"
-      "1 2\n"
-      "  3\t 4 trailing junk\n"
-      "+5 6\n"
-      "-1 7\n"           // strtoull wraps negatives
-      "no numbers\n"
-      "8\n"              // only one integer: skipped
-      "9 10";            // final line without newline
-  std::vector<ingest::RawPair> pairs;
-  const std::size_t lines = ingest::parse_text_chunk(text, pairs);
-  EXPECT_EQ(lines, 10u);
-  ASSERT_EQ(pairs.size(), 5u);
-  EXPECT_EQ(pairs[0].a, 1u);
-  EXPECT_EQ(pairs[0].b, 2u);
-  EXPECT_EQ(pairs[1].a, 3u);
-  EXPECT_EQ(pairs[1].b, 4u);
-  EXPECT_EQ(pairs[2].a, 5u);
-  EXPECT_EQ(pairs[2].b, 6u);
-  EXPECT_EQ(pairs[3].a, ~std::uint64_t{0});
-  EXPECT_EQ(pairs[3].b, 7u);
-  EXPECT_EQ(pairs[4].a, 9u);
-  EXPECT_EQ(pairs[4].b, 10u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 # End-to-end ingest smoke (ctest tier1): R-MAT -> v1 binary -> atlc_ingest
 # (spill path forced by a tiny memory budget) -> atlc_run --input g.v2, and
 # the resulting LCC/TC CSVs must be byte-identical to the in-memory
-# load+clean path on the same input and seed, across partition kinds.
+# load+clean path on the same input and seed, across partition kinds. A
+# hand-written SNAP text file takes the same two paths.
 #
 # Driven as: cmake -DATLC_RUN=... -DATLC_INGEST=... -DWORK_DIR=...
 #                  -P ingest_smoke.cmake
@@ -52,23 +53,38 @@ if(NOT rc EQUAL 1)
                       "rejected (${rc})")
 endif()
 
+# A SNAP text file: comment lines of any length, '%' comments and CRLF line
+# ends must mean the same graph to atlc_run's loader and to atlc_ingest. The
+# '#' line is 255 bytes before its "1 3" tail, so a reader with a fixed line
+# buffer would load that tail as an extra edge (closing two triangles).
+string(REPEAT " " 235 pad)
+file(WRITE ${WORK_DIR}/t.txt
+  "# SNAP header, long:${pad}1 3\n% konect-style comment\n"
+  "0 1\n0 2\n0 3\n1 2\r\n2 3\n4 5\n4 6\n4 7\n5 6\n5 7\n6 7\n"
+  "3 4\n7 8\n8 9\n9 7\n2 9")
+run_checked(${ATLC_INGEST} --input ${WORK_DIR}/t.txt
+            --output ${WORK_DIR}/t.v2 --ranks ${ranks} --seed ${seed})
+
 # The out-of-core path must reproduce the in-memory path bit-for-bit.
-foreach(combo "lcc;block" "lcc;grid2d" "tc;cyclic")
-  list(GET combo 0 algo)
-  list(GET combo 1 part)
-  run_checked(${ATLC_RUN} --input ${WORK_DIR}/g.bin --seed ${seed}
+foreach(combo "g.bin;lcc;block" "g.bin;lcc;grid2d" "g.bin;tc;cyclic"
+              "t.txt;lcc;block")
+  list(GET combo 0 input)
+  list(GET combo 1 algo)
+  list(GET combo 2 part)
+  get_filename_component(g ${input} NAME_WE)
+  run_checked(${ATLC_RUN} --input ${WORK_DIR}/${input} --seed ${seed}
               --algo ${algo} --partition ${part} --ranks ${ranks}
-              --out ${WORK_DIR}/mem_${algo}_${part}.csv)
-  run_checked(${ATLC_RUN} --input ${WORK_DIR}/g.v2
+              --out ${WORK_DIR}/mem_${g}_${algo}_${part}.csv)
+  run_checked(${ATLC_RUN} --input ${WORK_DIR}/${g}.v2
               --algo ${algo} --partition ${part} --ranks ${ranks}
-              --out ${WORK_DIR}/ooc_${algo}_${part}.csv)
+              --out ${WORK_DIR}/ooc_${g}_${algo}_${part}.csv)
   execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
-                  ${WORK_DIR}/mem_${algo}_${part}.csv
-                  ${WORK_DIR}/ooc_${algo}_${part}.csv
+                  ${WORK_DIR}/mem_${g}_${algo}_${part}.csv
+                  ${WORK_DIR}/ooc_${g}_${algo}_${part}.csv
                   RESULT_VARIABLE rc)
   if(NOT rc EQUAL 0)
     message(FATAL_ERROR
-            "ingest_smoke: ${algo}/${part} CSVs differ between the "
+            "ingest_smoke: ${input} ${algo}/${part} CSVs differ between the "
             "in-memory and snapshot paths")
   endif()
 endforeach()
